@@ -52,8 +52,6 @@ pub struct Driven {
     pub theta: usize,
     /// Wall time of the whole driver, s.
     pub wall_s: f64,
-    /// Share of the driver's time covered by its call spans.
-    pub span_coverage: f64,
     /// Time in `generate_rrr_sets`, s.
     pub sampling_s: f64,
     /// Time in `select_seeds`, s.
@@ -76,7 +74,8 @@ pub struct Driven {
 
 /// Algorithm 1 through public calls, each wrapped in a span under one
 /// `core.imm_driver` span. Mirrors `run_imm` call for call, so at the same
-/// inputs it must select the same seeds at the same θ.
+/// inputs it must select the same seeds at the same θ. The final
+/// collection's statistics are read after the driver's span has closed.
 pub fn traced_imm(
     graph: &CsrGraph,
     weights: &EdgeWeights,
@@ -151,15 +150,14 @@ pub fn traced_imm(
         .span("core.final_theta", request, || math::final_theta(n, k, epsilon, ell, lower_bound));
     top_up(theta, &mut sets, tracer);
     let selection = select(&sets, tracer);
-    let stats = tracer.span("rrr.coverage_stats", request, || sets.coverage_stats());
-
     let wall_s = started.elapsed().as_secs_f64();
     let root_id = tracer.exit(root);
+
+    let stats = tracer.span("rrr.coverage_stats", request, || sets.coverage_stats());
     Driven {
         seeds: selection.seeds,
         theta: sets.len(),
         wall_s,
-        span_coverage: root_id.map_or(0.0, |id| tracer.child_coverage(id)),
         sampling_s: tracer_total(tracer, "core.generate_rrr_sets", root_id),
         selection_s: tracer_total(tracer, "core.select_seeds", root_id),
         extend_s: tracer_total(tracer, "rrr.extend_from", root_id),

@@ -16,7 +16,7 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use imm_serve::protocol::{self, FrameRead, Request, Response};
+use imm_serve::protocol::{self, Request, Response};
 use imm_serve::DeltaOutcome;
 use imm_service::Query;
 
@@ -25,6 +25,12 @@ use crate::trace::Tracer;
 
 /// Give up on a phase's outstanding answers after this long.
 const DRAIN_LIMIT: Duration = Duration::from_secs(30);
+/// How long the receiver waits for bytes before it checks whether the
+/// phase is over.
+const POLL: Duration = Duration::from_millis(20);
+/// A request write blocked this long fails the phase: the daemon has
+/// stopped reading, so nobody would read its answers either.
+const WRITE_LIMIT: Duration = Duration::from_secs(10);
 
 /// A request's timeline, in ns since the phase started.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,7 +109,7 @@ pub struct RolloutLane {
     cadence: Duration,
     next: usize,
     pending: Option<usize>,
-    inbox: Vec<u8>,
+    inbox: Inbox,
     /// One record per rollout sent.
     pub records: Vec<RolloutRecord>,
 }
@@ -119,7 +125,7 @@ impl RolloutLane {
             cadence,
             next: 0,
             pending: None,
-            inbox: Vec::new(),
+            inbox: Inbox::default(),
             records: Vec::new(),
         })
     }
@@ -133,7 +139,8 @@ impl RolloutLane {
     fn poll(&mut self, phase_start: Instant, sending: bool) -> io::Result<()> {
         let now = phase_start.elapsed().as_nanos() as u64;
         if let Some(j) = self.pending {
-            if let Some(payload) = self.try_read_frame()? {
+            while self.inbox.fill(&mut self.stream)? > 0 {}
+            if let Some(payload) = self.inbox.take_frame()? {
                 let outcome = match protocol::decode_response(&payload) {
                     Ok(Response::DeltaApplied(outcome)) => Some(outcome),
                     _ => None,
@@ -169,29 +176,52 @@ impl RolloutLane {
             Some(u64::MAX)
         }
     }
+}
 
-    fn try_read_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
+/// Bytes read from a connection and not yet taken as frames. A frame may
+/// arrive in pieces, with pauses between them longer than any read
+/// timeout; the inbox keeps the pieces until the frame is whole.
+#[derive(Default)]
+struct Inbox(Vec<u8>);
+
+impl Inbox {
+    /// One read from `stream`: the bytes it added, 0 when none were ready
+    /// before the read timed out or would have blocked.
+    fn fill(&mut self, stream: &mut UnixStream) -> io::Result<usize> {
         let mut chunk = [0u8; 4096];
         loop {
-            match self.stream.read(&mut chunk) {
+            match stream.read(&mut chunk) {
                 Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                Ok(n) => self.inbox.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Ok(n) => {
+                    self.0.extend_from_slice(&chunk[..n]);
+                    return Ok(n);
+                }
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                {
+                    return Ok(0)
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// The payload of the first frame, once all of it has arrived.
+    fn take_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
         let header = protocol::FRAME_HEADER_LEN;
-        if self.inbox.len() < header {
+        if self.0.len() < header {
             return Ok(None);
         }
-        let len = u32::from_le_bytes([self.inbox[5], self.inbox[6], self.inbox[7], self.inbox[8]])
-            as usize;
-        if self.inbox.len() < header + len {
+        if self.0[..4] != protocol::FRAME_MAGIC {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad frame magic"));
+        }
+        let len = u32::from_le_bytes([self.0[5], self.0[6], self.0[7], self.0[8]]) as usize;
+        if self.0.len() < header + len {
             return Ok(None);
         }
-        let payload = self.inbox[header..header + len].to_vec();
-        self.inbox.drain(..header + len);
+        let payload = self.0[header..header + len].to_vec();
+        self.0.drain(..header + len);
         Ok(Some(payload))
     }
 }
@@ -244,38 +274,49 @@ pub fn run_phase(
     let sent = AtomicUsize::new(0);
     let sending_done = AtomicBool::new(false);
     let mut writer = stream.try_clone()?;
+    writer.set_write_timeout(Some(WRITE_LIMIT))?;
     let mut reader = stream.try_clone()?;
-    reader.set_read_timeout(Some(Duration::from_millis(20)))?;
+    reader.set_read_timeout(Some(POLL))?;
     let start = Instant::now();
 
     let (send_result, receive_result) = std::thread::scope(|scope| {
         let receiver = scope.spawn(|| {
             let mut tracer = Tracer::new(traced);
             let mut answers: Vec<(Option<u64>, bool)> = Vec::with_capacity(total);
+            let mut inbox = Inbox::default();
             let mut idle_since: Option<Instant> = None;
             loop {
                 let finished = sending_done.load(Ordering::Acquire);
                 if finished && answers.len() >= sent.load(Ordering::Acquire) {
                     break;
                 }
-                match protocol::read_frame(&mut reader, protocol::DEFAULT_MAX_FRAME_LEN) {
-                    Ok(FrameRead::Frame(payload)) => {
-                        let done = start.elapsed().as_nanos() as u64;
-                        let request = answers.len() as u64;
-                        let open = tracer.enter("serve.decode_response", request);
-                        let ok = matches!(protocol::decode_response(&payload),
-                            Ok(Response::Batch(outcomes)) if outcomes.iter().all(Result::is_ok));
-                        tracer.exit(open);
-                        answers.push((Some(done), ok));
-                        idle_since = None;
-                    }
-                    Ok(FrameRead::Idle) => {
+                match inbox.fill(&mut reader) {
+                    Ok(0) => {
                         let since = *idle_since.get_or_insert_with(Instant::now);
                         if finished && since.elapsed() > DRAIN_LIMIT {
                             break;
                         }
+                        continue;
                     }
-                    Ok(FrameRead::Eof) | Err(_) => break,
+                    Ok(_) => idle_since = None,
+                    Err(_) => break,
+                }
+                let done = start.elapsed().as_nanos() as u64;
+                loop {
+                    match inbox.take_frame() {
+                        Ok(Some(payload)) => {
+                            let request = answers.len() as u64;
+                            let open = tracer.enter("serve.decode_response", request);
+                            let ok = matches!(protocol::decode_response(&payload),
+                                Ok(Response::Batch(outcomes)) if outcomes.iter().all(Result::is_ok));
+                            tracer.exit(open);
+                            answers.push((Some(done), ok));
+                        }
+                        Ok(None) => break,
+                        // A corrupt stream: the answers not yet read stay
+                        // unanswered and count as failed.
+                        Err(_) => return (answers, tracer),
+                    }
                 }
             }
             (answers, tracer)
@@ -397,6 +438,7 @@ pub fn summarize(records: &[Record], phase_ns: u64) -> Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imm_serve::protocol::FrameRead;
 
     /// A stand-in daemon that answers every request with an empty batch,
     /// stalling once for `stall` before answering request `stall_at`.
@@ -444,6 +486,34 @@ mod tests {
         let mid_stall = &out.records[30];
         assert!(mid_stall.latency_ms() >= 30.0, "latency {}", mid_stall.latency_ms());
         assert!(summary.p99_ms >= 40.0);
+    }
+
+    #[test]
+    fn an_answer_split_by_a_pause_longer_than_the_poll_is_still_read() {
+        let (client, mut server) = UnixStream::pair().expect("socket pair");
+        let daemon = std::thread::spawn(move || {
+            let mut served = 0;
+            while let Ok(FrameRead::Frame(_)) =
+                protocol::read_frame(&mut server, protocol::DEFAULT_MAX_FRAME_LEN)
+            {
+                let reply = frame_bytes(&protocol::encode_response(&Response::Batch(Vec::new())));
+                let cut = if served == 3 { 4 } else { reply.len() };
+                server.write_all(&reply[..cut]).expect("first part");
+                if cut < reply.len() {
+                    std::thread::sleep(POLL * 3);
+                    server.write_all(&reply[cut..]).expect("second part");
+                }
+                served += 1;
+            }
+        });
+        let schedule =
+            Schedule { rate_per_s: 200.0, duration: Duration::from_millis(50), stop_at_end: false };
+        let out = run_phase(&client, &[Query::top_k(1)], &[0], schedule, None, false)
+            .expect("phase runs");
+        drop(client);
+        daemon.join().expect("daemon thread");
+        assert_eq!(out.records.len(), 10);
+        assert!(out.records.iter().all(|r| r.ok), "every request answered");
     }
 
     #[test]

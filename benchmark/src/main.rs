@@ -266,13 +266,10 @@ mod tests {
             weights,
             k: 5,
             mc_tolerance: 0.25,
-            setups_per_round: 1,
             batch_share: 0.1,
             sketch_theta: 400,
             base_rate: 200.0,
-            base_share: 0.4,
             overload_rate: 2_000.0,
-            overload_share: 0.2,
             rollout_cadence_ms,
             idle_rollouts: 1,
             delta_weight: (0.001, 0.01),

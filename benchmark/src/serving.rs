@@ -17,6 +17,7 @@ use imm_service::{Query, QueryResponse, RefreshStats, SampleSpec, SketchIndex};
 use imm_shard::{ShardedEngine, ShardedIndex};
 use imm_store::Store;
 use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::trace::Tracer;
@@ -50,23 +51,31 @@ pub fn write_sketch(
 
 /// The read-mix query stream: a quarter each of plain Top-K (k 1–32, so
 /// repeats hit the response cache), Spread, Marginal and audience-masked
-/// Top-K over a fresh 64-vertex audience (always a cache miss).
+/// Top-K over a fresh 64-vertex audience (always a cache miss). The classes
+/// come in shuffled blocks of four, so every stretch of the stream holds
+/// each class a quarter of the time, give or take one query: a phase that
+/// ends early does not leave a seed with more or fewer costly queries.
 pub struct QueryStream {
     rng: SmallRng,
     nodes: usize,
+    block: Vec<u8>,
 }
 
 impl QueryStream {
     /// The stream seeded by `seed` over `nodes` vertices.
     pub fn new(seed: u64, nodes: usize) -> Self {
-        QueryStream { rng: SmallRng::seed_from_u64(seed), nodes }
+        QueryStream { rng: SmallRng::seed_from_u64(seed), nodes, block: Vec::new() }
     }
 
     /// The next query and its class (index into [`KIND_NAMES`]).
     pub fn next_query(&mut self) -> (Query, u8) {
+        if self.block.is_empty() {
+            self.block = vec![0, 1, 2, 3];
+            self.block.shuffle(&mut self.rng);
+        }
+        let kind = self.block.pop().expect("the block was just refilled");
         let n = self.nodes as u32;
         let rng = &mut self.rng;
-        let kind = rng.gen_range(0..4u8);
         let query = match kind {
             0 => Query::top_k(rng.gen_range(1..33)),
             1 => Query::Spread {

@@ -126,17 +126,6 @@ impl Tracer {
         self.spans.iter().filter(|s| s.name == name).map(|s| s.duration_ns() as f64).collect()
     }
 
-    /// Share of span `root`'s duration covered by its direct children.
-    pub fn child_coverage(&self, root: u64) -> f64 {
-        let Some(parent) = self.spans.iter().find(|s| s.id == root) else {
-            return 0.0;
-        };
-        let covered = union_ns(
-            self.spans.iter().filter(|s| s.parent == Some(root)).map(|s| (s.start_ns, s.end_ns)),
-        );
-        covered as f64 / parent.duration_ns().max(1) as f64
-    }
-
     /// Write every span, with its self time, as one JSON object per line.
     pub fn write_jsonl(&self, path: &Path) -> std::io::Result<()> {
         let mut children: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
@@ -205,7 +194,6 @@ mod tests {
         let children: Vec<_> = t.spans().iter().filter(|s| s.name == "child").collect();
         assert_eq!(children.len(), 2);
         assert!(children.iter().all(|c| c.parent == Some(root_id) && c.request == 7));
-        assert!(t.child_coverage(root_id) > 0.9);
         let root_span = t.spans().iter().find(|s| s.id == root_id).expect("root");
         let kids = children.iter().map(|c| (c.start_ns, c.end_ns));
         assert!(self_ns(root_span, kids) < root_span.duration_ns() / 2);

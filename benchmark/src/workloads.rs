@@ -13,6 +13,8 @@ pub const EPSILON: f64 = 0.5;
 pub const MC_TRIALS: usize = 100;
 /// Edge insertions per rollout.
 pub const DELTA_EDGES: usize = 20;
+/// Share of each round spent at the overload rate.
+pub const OVERLOAD_SHARE: f64 = 0.15;
 
 /// How edge weights are drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,23 +53,17 @@ pub struct Workload {
     /// Allowed relative gap between the Monte-Carlo spread and IMM's
     /// estimate.
     pub mc_tolerance: f64,
-    /// Set-ups per round.
-    pub setups_per_round: usize,
-    /// Share of `--seconds` spent repeating `run_imm` (at least one run
+    /// Share of each round spent repeating `run_imm` (at least one run
     /// per round).
     pub batch_share: f64,
     /// RRR sets in the serving sketch.
     pub sketch_theta: usize,
     /// Requests per second of the base-rate phase.
     pub base_rate: f64,
-    /// Share of `--seconds` at the base rate.
-    pub base_share: f64,
     /// Requests per second offered in the overload phase.
     pub overload_rate: f64,
-    /// Share of `--seconds` at the overload rate.
-    pub overload_share: f64,
     /// Rollouts run while reads are in flight, one per this many ms
-    /// (`None`: rollouts run on an idle daemon after the reads).
+    /// (`None`: rollouts run on an idle daemon before the reads).
     pub rollout_cadence_ms: Option<u64>,
     /// Rollouts per round on an idle daemon, when none run alongside reads.
     pub idle_rollouts: usize,
@@ -82,13 +78,10 @@ const BASE: Workload = Workload {
     weights: Weights::WeightedCascade,
     k: 50,
     mc_tolerance: 0.10,
-    setups_per_round: 1,
     batch_share: 0.15,
     sketch_theta: 50_000,
     base_rate: 200.0,
-    base_share: 0.55,
     overload_rate: 8000.0,
-    overload_share: 0.15,
     rollout_cadence_ms: None,
     idle_rollouts: 5,
     delta_weight: (0.01, 0.2),
@@ -102,13 +95,10 @@ pub const WORKLOADS: [Workload; 4] = [
         avg_degree: 2,
         weights: Weights::IcUniform,
         mc_tolerance: 0.15,
-        setups_per_round: 3,
         batch_share: 0.0,
         sketch_theta: 64,
         base_rate: 100.0,
-        base_share: 0.5,
         overload_rate: 4000.0,
-        overload_share: 0.15,
         idle_rollouts: 10,
         delta_weight: (0.0, 1.0),
         ..BASE
@@ -121,9 +111,7 @@ pub const WORKLOADS: [Workload; 4] = [
         k: 100,
         batch_share: 0.0,
         base_rate: 125.0,
-        base_share: 0.4,
         overload_rate: 4000.0,
-        overload_share: 0.15,
         idle_rollouts: 1,
         delta_weight: (0.0005, 0.002),
         ..BASE
