@@ -34,9 +34,10 @@ cargo test -q
 echo "==> workspace tests (all crates, PROPTEST_CASES=32)"
 PROPTEST_CASES=32 cargo test --workspace -q
 
-# The shard differential/parity suite is the correctness anchor of sharded
-# serving (byte-identical answers to the single-index engine for every shard
-# count × thread count, including after apply_delta). It already ran in the
+# The shard differential/parity suites are the correctness anchor of serving
+# (byte-identical answers to the batch kernels and estimators for every shard
+# count × thread count — one shard being the single index — including after
+# apply_delta). It already ran in the
 # workspace sweep above; this explicit pinned-budget invocation documents the
 # contract and keeps it enforced even if the sweep's scope ever changes.
 echo "==> shard parity suite (PROPTEST_CASES=32)"
@@ -140,8 +141,9 @@ rm -f "$STARTUP_OUT"
 
 # End-to-end daemon smoke over a real unix socket: build a snapshot, serve
 # it in the background, drive a mixed client batch, and require the remote
-# answers byte-identical to the in-process `query` command (same JSON
-# renderer on both paths, so a plain string compare is the whole check).
+# answers byte-identical to the in-process `query` command at two shards and
+# at one (same JSON renderer on every path, so a plain string compare is the
+# whole check).
 # Ends with a clean client-initiated shutdown — the daemon must exit zero
 # and remove its socket file.
 echo "==> serving daemon smoke (unix socket, byte-identity, clean shutdown)"
@@ -162,12 +164,19 @@ BATCH="--top-k 2,5 --audience 0,1,2,3 --spread 0,1 --marginal 0:1"
 # shellcheck disable=SC2086
 "$CLI" query --index "$SERVE_DIR/g.sketch" --shards 2 --threads 2 $BATCH \
   > "$SERVE_DIR/local.json"
-python3 - "$SERVE_DIR/remote.json" "$SERVE_DIR/local.json" <<'EOF'
+# Without --shards, `query` serves the loaded index as one shard — the
+# single-index case of the same engine — and must answer identically.
+# shellcheck disable=SC2086
+"$CLI" query --index "$SERVE_DIR/g.sketch" --threads 2 $BATCH > "$SERVE_DIR/single.json"
+python3 - "$SERVE_DIR/remote.json" "$SERVE_DIR/local.json" "$SERVE_DIR/single.json" <<'EOF'
 import json, sys
 remote = json.load(open(sys.argv[1]))["responses"]
 local = json.load(open(sys.argv[2]))["responses"]
+single = json.load(open(sys.argv[3]))["responses"]
 if json.dumps(remote, sort_keys=True) != json.dumps(local, sort_keys=True):
     sys.exit("daemon responses diverged from the in-process query command")
+if json.dumps(single, sort_keys=True) != json.dumps(local, sort_keys=True):
+    sys.exit("the one-shard query command diverged from the --shards 2 one")
 EOF
 "$CLI" client --socket "$SERVE_DIR/imm.sock" --shutdown > /dev/null
 wait "$SERVE_PID"

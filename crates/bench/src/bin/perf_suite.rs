@@ -23,17 +23,14 @@
 //! 1. **Sampling** — bulk-generate θ RRR sets on a rayon pool.
 //! 2. **Selection** — `select_seeds` (EfficientIMM kernel) at budget k,
 //!    median of three runs.
-//! 3. **Serving** — freeze a `SketchIndex`; measure Top-K latency on a
-//!    *fresh* `QueryEngine` per trial (so every trial pays the full greedy
-//!    cost, which is what the lazy-greedy selection optimizes), and
-//!    uncached `Spread` latency on a shared engine.
-//! 4. **Sharded serving** — partition the same index into each tracked
-//!    shard count and measure the scatter/gather path: cold Top-K on a
-//!    fresh `ShardedEngine` per trial and uncached Spread on a shared one.
-//!    The single-index numbers of phase 3 stay in the report, so the
-//!    serving trajectory and the sharding overhead/crossover are both
-//!    visible in one file.
-//! 5. **Observability overhead** — per-op cost of the two `imm-obs`
+//! 3. **Serving** — freeze a `SketchIndex`, partition it into each tracked
+//!    shard count (one shard is the single index, served with its own
+//!    postings) and measure the query engine: cold Top-K on a *fresh*
+//!    `ShardedEngine` per trial (so every trial pays the full greedy cost,
+//!    which is what the lazy-greedy selection optimizes) and uncached
+//!    Spread on a shared one. The sharding overhead/crossover is visible
+//!    against the one-shard entry.
+//! 4. **Observability overhead** — per-op cost of the two `imm-obs`
 //!    hot-path primitives (relaxed counter add, histogram record),
 //!    measured directly, plus the instrumented sampling throughput of
 //!    phase 1 compared against an `obs-off` build's throughput when
@@ -46,7 +43,7 @@
 //! ```json
 //! {
 //!   "bench": "perf_suite",            // constant tag
-//!   "schema_version": 4,              // bump on layout changes
+//!   "schema_version": 5,              // bump on layout changes
 //!   "smoke": false,                   // true when --smoke shrank the run
 //!   "workload": {
 //!     "nodes": 60000, "edges": 623940,   // graph size actually built
@@ -66,15 +63,15 @@
 //!     },
 //!     "sampling_sets_per_sec": 1.0e6,   // θ / sampling wall time
 //!     "selection_ms": 12.5,             // median select_seeds wall, ms
-//!     "topk_p50_ms": 9.1,               // median cold Top-K latency, ms
-//!     "spread_p50_us": 40.2,            // median uncached Spread, µs
 //!     "rrr_memory_bytes": 123456,       // CoverageStats::memory_bytes
-//!     "sharded_serving": [              // one entry per shard count
+//!     "sharded_serving": [              // one entry per shard count:
+//!                                       // median cold Top-K (ms) and
+//!                                       // uncached Spread (µs)
 //!       {"shards": 1, "topk_p50_ms": 9.5, "spread_p50_us": 41.0},
 //!       {"shards": 2, "topk_p50_ms": 8.0, "spread_p50_us": 35.1},
 //!       {"shards": 4, "topk_p50_ms": 7.2, "spread_p50_us": 33.8}
 //!     ],
-//!     "obs_overhead": {                 // phase 5 instrumentation guard
+//!     "obs_overhead": {                 // phase 4 instrumentation guard
 //!       "recording_enabled": true,      //   false under --features obs-off
 //!       "counter_add_ns": 3.1,          //   one relaxed counter add
 //!       "histogram_record_ns": 4.0,     //   one relaxed histogram record
@@ -93,7 +90,9 @@
 //!
 //! Schema v4 replaces v3's `exec_metrics` array with the `obs_metrics`
 //! registry embed; the exec counters appear inside it under their
-//! unchanged (byte-stable) names.
+//! unchanged (byte-stable) names. Schema v5 drops the separate
+//! single-index `topk_p50_ms` / `spread_p50_us` metrics: the `shards: 1`
+//! entry of `sharded_serving` is the single index.
 //!
 //! All timings are wall-clock medians over the trial counts below; the
 //! memory figure is the collection's own heap accounting (the peak-RSS
@@ -118,7 +117,7 @@ use efficient_imm::{select_seeds, Algorithm, ExecutionConfig};
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
 use imm_rrr::AdaptivePolicy;
-use imm_service::{Query, QueryEngine, QueryResponse, SketchIndex};
+use imm_service::{Query, QueryResponse, SketchIndex};
 use imm_shard::{ShardedEngine, ShardedIndex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -268,12 +267,12 @@ fn main() {
 
     // Phase 1: sampling throughput, median over trials — the phase is only
     // tens of milliseconds, so a single run would be mostly scheduler
-    // noise, and phase 5's obs-off comparison needs a stable number on
+    // noise, and phase 4's obs-off comparison needs a stable number on
     // both sides. Every trial regenerates the same θ sets (same seed); the
     // last trial's collection feeds the later phases. The core counter
     // deltas around the first timed region tell us how many
     // instrumentation events the workload actually generated per set
-    // (phase 5 turns that into a cost bound).
+    // (phase 4 turns that into a cost bound).
     let sets_sampled_before = efficient_imm::metrics::SETS_SAMPLED.value();
     let mut sampling_trial_secs: Vec<f64> = Vec::with_capacity(w.sampling_trials);
     let t0 = Instant::now();
@@ -312,40 +311,19 @@ fn main() {
     let selection_ms = median(&mut selection_ms);
     eprintln!("[perf-suite] selection k = {}: {selection_ms:.2} ms", w.k);
 
-    // Phase 3: single-index serving. The spread loop measures the steady
-    // state of the coverage-marking path (uncached, so every call does
-    // real work). Cold Top-K is measured in phase 4, interleaved trial by
-    // trial with the sharded engines, so the single/sharded comparison is
-    // paired and immune to clock-speed drift across the run.
-    let index =
-        Arc::new(SketchIndex::build(&graph, collection, "perf-suite").expect("index builds"));
-    let engine = QueryEngine::new(Arc::clone(&index));
-    let mut query_rng = SmallRng::seed_from_u64(RNG_SEED ^ 0xC0FFEE);
-    let mut spread_us: Vec<f64> = (0..w.spread_trials)
-        .map(|_| {
-            let seeds: Vec<u32> = (0..3).map(|_| query_rng.gen_range(0..w.nodes as u32)).collect();
-            let query = Query::Spread { seeds };
-            let t = Instant::now();
-            let _ = engine.execute_uncached(&query);
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    let spread_p50_us = median(&mut spread_us);
-    eprintln!("[perf-suite] uncached Spread p50: {spread_p50_us:.1} µs");
-
-    // Phase 4: sharded scatter/gather serving, one sweep entry per shard
-    // count. Cold Top-K uses a fresh engine per trial (the full
-    // merged-bound greedy); Spread reuses one engine uncached. Every trial
-    // round times a fresh single-index QueryEngine back to back with a
-    // fresh ShardedEngine at each shard count, rotating which
-    // configuration goes first — the paired, position-debiased design
-    // keeps both the single/sharded ratio and the cross-shard-count
-    // comparison honest on hosts whose effective clock drifts over a
-    // multi-minute run (and whose caches remember the previous
+    // Phase 3: serving, one sweep entry per shard count. Cold Top-K uses
+    // a fresh engine per trial (the full merged-bound greedy); Spread
+    // reuses one engine uncached, measuring the steady state of the
+    // coverage-marking path. Every trial round times a fresh engine at
+    // each shard count back to back, rotating which configuration goes
+    // first — the paired, position-debiased design keeps the cross-shard-
+    // count comparison honest on hosts whose effective clock drifts over
+    // a multi-minute run (and whose caches remember the previous
     // measurement).
-    let time_cold_topk = |run: &dyn Fn(&Query) -> QueryResponse| -> f64 {
+    let index = SketchIndex::build(&graph, collection, "perf-suite").expect("index builds");
+    let time_cold_topk = |engine: &ShardedEngine| -> f64 {
         let t = Instant::now();
-        let response = run(&Query::top_k(w.k));
+        let response = engine.execute(&Query::top_k(w.k));
         let ms = t.elapsed().as_secs_f64() * 1e3;
         match response {
             QueryResponse::TopK { seeds, .. } => assert_eq!(seeds.len(), w.k),
@@ -357,29 +335,19 @@ fn main() {
         .shard_counts
         .iter()
         .map(|&shards| {
-            Arc::new(ShardedIndex::from_index((*index).clone(), shards).expect("index partitions"))
+            Arc::new(ShardedIndex::from_index(index.clone(), shards).expect("index partitions"))
         })
         .collect();
-    let mut single_topk_ms: Vec<f64> = Vec::with_capacity(w.topk_trials);
     let mut sharded_topk_ms: Vec<Vec<f64>> =
         vec![Vec::with_capacity(w.topk_trials); shard_indexes.len()];
-    let config_count = shard_indexes.len() + 1;
+    let config_count = shard_indexes.len();
     for trial in 0..w.topk_trials {
         for slot in 0..config_count {
-            match (trial + slot) % config_count {
-                0 => {
-                    let single = QueryEngine::new(Arc::clone(&index));
-                    single_topk_ms.push(time_cold_topk(&|q| single.execute(q)));
-                }
-                cfg => {
-                    let engine = ShardedEngine::new(Arc::clone(&shard_indexes[cfg - 1]));
-                    sharded_topk_ms[cfg - 1].push(time_cold_topk(&|q| engine.execute(q)));
-                }
-            }
+            let cfg = (trial + slot) % config_count;
+            let engine = ShardedEngine::new(Arc::clone(&shard_indexes[cfg]));
+            sharded_topk_ms[cfg].push(time_cold_topk(&engine));
         }
     }
-    let topk_p50_ms = median(&mut single_topk_ms);
-    eprintln!("[perf-suite] cold TopK p50 (single index, paired trials): {topk_p50_ms:.2} ms");
 
     let mut sharded_serving = Vec::with_capacity(w.shard_counts.len());
     for (i, &shards) in w.shard_counts.iter().enumerate() {
@@ -409,7 +377,7 @@ fn main() {
         }));
     }
 
-    // Phase 5: observability overhead. Per-op costs come from hammering
+    // Phase 4: observability overhead. Per-op costs come from hammering
     // the two hot-path primitives directly (a scratch counter/histogram so
     // the loop is exactly one relaxed atomic op per iteration); the
     // end-to-end check compares phase 1's instrumented sampling throughput
@@ -482,7 +450,7 @@ fn main() {
 
     let report = serde_json::json!({
         "bench": "perf_suite",
-        "schema_version": 4,
+        "schema_version": 5,
         "smoke": smoke,
         "workload": {
             "nodes": graph.num_nodes(),
@@ -503,8 +471,6 @@ fn main() {
             },
             "sampling_sets_per_sec": sampling_sets_per_sec,
             "selection_ms": selection_ms,
-            "topk_p50_ms": topk_p50_ms,
-            "spread_p50_us": spread_p50_us,
             "rrr_memory_bytes": stats.memory_bytes,
             "sharded_serving": sharded_serving,
             "obs_overhead": obs_overhead,
@@ -518,7 +484,7 @@ fn main() {
     // metric keys present — this is the contract `ci.sh --smoke` relies on.
     let reread = std::fs::read_to_string(&out_path).expect("reread BENCH json");
     let parsed: serde_json::Value = serde_json::from_str(&reread).expect("BENCH json parses");
-    for key in ["sampling_sets_per_sec", "selection_ms", "topk_p50_ms", "spread_p50_us"] {
+    for key in ["sampling_sets_per_sec", "selection_ms"] {
         assert!(parsed["metrics"][key].as_f64().is_some(), "metric {key} missing from {out_path}");
     }
     let sweep = parsed["metrics"]["sharded_serving"].as_array().expect("sharded sweep present");

@@ -13,8 +13,10 @@
 //! Both paths are measured through the same [`imm_store::Store`] entry
 //! points the daemon uses (`open_mapped` strictly — no silent fallback
 //! can contaminate the mapped column; `open_read` for the classic path),
-//! and both end with one uncached Top-K on a fresh `QueryEngine`, so the
-//! mapped column includes the page faults its laziness deferred.
+//! and both end with one uncached Top-K on a fresh one-shard
+//! `ShardedEngine` (which adopts the opened index's postings, mapped or
+//! heap, without rebuilding them), so the mapped column includes the page
+//! faults its laziness deferred.
 //!
 //! # Output schema (`BENCH_9.json`)
 //!
@@ -53,7 +55,8 @@
 
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
-use imm_service::{Query, QueryEngine, SampleSpec, SketchIndex};
+use imm_service::{Query, SampleSpec, SketchIndex};
+use imm_shard::{ShardedEngine, ShardedIndex};
 use imm_store::{OpenedIndex, Store};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -86,7 +89,8 @@ impl Ttfq {
 fn time_path(open: impl Fn() -> OpenedIndex, k: usize) -> Ttfq {
     let opened = open();
     let timings = opened.timings;
-    let engine = QueryEngine::new(Arc::new(opened.index));
+    let sharded = ShardedIndex::from_index(opened.index, 1).expect("one shard adopts the index");
+    let engine = ShardedEngine::new(Arc::new(sharded));
     let t = Instant::now();
     let response = engine.execute_uncached(&Query::top_k(k));
     let first_query_ns = t.elapsed().as_nanos() as u64;

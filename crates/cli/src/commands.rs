@@ -12,7 +12,7 @@ use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, io, properties, CsrGraph, EdgeWeights, GraphDelta, WeightModel};
 use imm_rrr::{AdaptivePolicy, BitSet};
 use imm_serve::{Client, ClientError, Rejection, RetryClient, RetryPolicy, Server, ServerConfig};
-use imm_service::{DeltaJournal, Query, QueryEngine, QueryResponse, SampleSpec, SketchIndex};
+use imm_service::{DeltaJournal, Query, QueryResponse, SampleSpec, SketchIndex};
 use imm_shard::{ShardedEngine, ShardedIndex};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -427,62 +427,29 @@ fn split_index(args: &SplitIndexArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The engine behind `query`: single-index or sharded scatter/gather —
-/// both answer the same vocabulary with byte-identical responses.
-enum ServingEngine {
-    Single(QueryEngine),
-    Sharded(ShardedEngine),
-}
-
-impl ServingEngine {
-    fn execute_batch(&self, queries: &[Query], threads: usize) -> Vec<QueryResponse> {
-        match self {
-            ServingEngine::Single(e) => e.execute_batch(queries, threads),
-            ServingEngine::Sharded(e) => e.execute_batch(queries, threads),
-        }
-    }
-
-    fn describe(&self) -> (String, usize, usize, usize) {
-        match self {
-            ServingEngine::Single(e) => {
-                (e.index().meta().label.clone(), e.index().num_sets(), e.index().num_nodes(), 1)
-            }
-            ServingEngine::Sharded(e) => (
-                e.index().meta().label.clone(),
-                e.index().num_sets(),
-                e.index().num_nodes(),
-                e.index().num_shards(),
-            ),
-        }
-    }
-}
-
-/// Serve queries from a saved sketch index — no graph, no sampling. With
-/// `--shards N` the loaded index is partitioned into N set-range shards and
-/// served scatter/gather; with `--shard-files` the split files themselves
-/// are reassembled (their layout becomes the shard layout).
+/// Serve queries from a saved sketch index — no graph, no sampling. The
+/// loaded index is partitioned into `--shards` set-range shards (one by
+/// default: the index as loaded) and served scatter/gather; with
+/// `--shard-files` the split files themselves are reassembled (their
+/// layout becomes the shard layout).
 fn query(args: &QueryArgs) -> Result<(), CliError> {
-    let (engine, source_label) = match &args.source {
+    let (sharded, source_label) = match &args.source {
         IndexSource::Snapshot(path) => {
             let index = SketchIndex::load_from_path(path)
                 .map_err(|e| format!("cannot load {path}: {e}"))?;
-            let engine = if args.shards > 1 {
-                let sharded = ShardedIndex::from_index(index, args.shards)
-                    .map_err(|e| format!("cannot shard {path}: {e}"))?;
-                ServingEngine::Sharded(ShardedEngine::new(Arc::new(sharded)))
-            } else {
-                ServingEngine::Single(QueryEngine::new(Arc::new(index)))
-            };
-            (engine, path.clone())
+            let sharded = ShardedIndex::from_index(index, args.shards)
+                .map_err(|e| format!("cannot shard {path}: {e}"))?;
+            (sharded, path.clone())
         }
         IndexSource::ShardFiles(paths) => {
             let sharded = imm_shard::load_shard_files(paths)
                 .map_err(|e| format!("cannot assemble shard files: {e}"))?;
-            (ServingEngine::Sharded(ShardedEngine::new(Arc::new(sharded))), paths.join(","))
+            (sharded, paths.join(","))
         }
     };
+    let engine = ShardedEngine::new(Arc::new(sharded));
 
-    let (_, _, num_nodes, _) = engine.describe();
+    let num_nodes = engine.index().num_nodes();
     let audience = args.audience.as_ref().map(|vertices| {
         // Out-of-range audience vertices select no sets; dropping them here
         // keeps the bitmap sized to the vertex space.
@@ -517,13 +484,13 @@ fn query(args: &QueryArgs) -> Result<(), CliError> {
     let responses = engine.execute_batch(&queries, args.threads);
     let wall = start.elapsed().as_secs_f64();
 
-    let (label, theta, nodes, shards) = engine.describe();
+    let index = engine.index();
     let mut json = serde_json::json!({
         "index": source_label,
-        "source": label,
-        "theta": theta,
-        "nodes": nodes,
-        "shards": shards,
+        "source": index.meta().label,
+        "theta": index.num_sets(),
+        "nodes": index.num_nodes(),
+        "shards": index.num_shards(),
         "threads": args.threads,
         "wall_seconds": wall,
         "responses": queries
@@ -912,7 +879,8 @@ fn stats_from_index(path: &str, metrics: bool) -> Result<(), CliError> {
 fn startup_phase_json(opened: imm_store::OpenedIndex) -> serde_json::Value {
     let timings = opened.timings;
     let mapped_bytes = opened.mapped_len();
-    let engine = QueryEngine::new(Arc::new(opened.index));
+    let sharded = ShardedIndex::from_index(opened.index, 1).expect("one shard adopts the index");
+    let engine = ShardedEngine::new(Arc::new(sharded));
     let t_query = Instant::now();
     let _ = engine.execute_uncached(&Query::top_k(1));
     let first_query_ns = t_query.elapsed().as_nanos() as u64;

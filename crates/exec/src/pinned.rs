@@ -17,8 +17,9 @@
 //! with zero workers the caller serves every request inline and the
 //! scatter degenerates to a plain loop over shards — no allocation beyond
 //! the response vector, no parking, no atomics on the hot path. That is
-//! the configuration [`WakeMode::Auto`] picks on a single-CPU host, where
-//! handing work to another thread can only add latency.
+//! the configuration [`WakeMode::Auto`] picks on a single-CPU host and for
+//! a one-cell pool, where handing work to another thread can only add
+//! latency.
 //!
 //! # Shutdown and panics
 //!
@@ -69,7 +70,10 @@ pub trait Pinned: Send + 'static {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WakeMode {
     /// Workers only when the host has real parallelism
-    /// (`available_parallelism() > 1`); otherwise serve inline.
+    /// (`available_parallelism() > 1`) and the pool has more than one cell
+    /// to split a scatter over; otherwise serve inline. A one-cell scatter
+    /// is always served by the scattering thread's own help-drain, so a
+    /// worker there could only add a wake-up.
     Auto,
     /// Always route through workers when `threads > 1` (tests, and hosts
     /// where the caller should stay responsive).
@@ -421,7 +425,9 @@ impl<P: Pinned> PinnedPool<P> {
         let use_workers = match mode {
             WakeMode::Never => false,
             WakeMode::Always => true,
-            WakeMode::Auto => thread::available_parallelism().map(|p| p.get()).unwrap_or(1) > 1,
+            WakeMode::Auto => {
+                cells.len() > 1 && thread::available_parallelism().map(|p| p.get()).unwrap_or(1) > 1
+            }
         };
         let worker_count = if use_workers { threads.saturating_sub(1).min(cells.len()) } else { 0 };
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -518,19 +524,6 @@ impl<P: Pinned> PinnedPool<P> {
     pub fn with_cell<R>(&self, cell: usize, f: impl FnOnce(&mut P) -> R) -> R {
         let mut inner = self.cells[cell].lock();
         f(&mut inner.pinned)
-    }
-
-    /// Exclusive access to *every* cell's pinned state at once, locking
-    /// the cells in index order. This is the fused serving path for
-    /// zero-worker pools: a caller driving many rounds against all cells
-    /// pays each cell lock once per call instead of once per round.
-    /// Concurrent callers also acquire in index order, so the multi-lock
-    /// cannot deadlock against `call`/`scatter`/another `with_all_cells`.
-    pub fn with_all_cells<R>(&self, f: impl FnOnce(&mut [&mut P]) -> R) -> R {
-        let mut guards: Vec<MutexGuard<'_, CellInner<P>>> =
-            self.cells.iter().map(Cell::lock).collect();
-        let mut refs: Vec<&mut P> = guards.iter_mut().map(|g| &mut g.pinned).collect();
-        f(&mut refs)
     }
 
     /// Scatter a batch of `(cell, request)` pairs and gather the responses
@@ -731,6 +724,15 @@ mod tests {
         assert_eq!(pool.num_workers(), 0);
         let out = pool.scatter(vec![(2, 7), (0, 1), (1, 5)]);
         assert_eq!(out, vec![2007, 1, 1005]);
+    }
+
+    #[test]
+    fn auto_mode_serves_a_single_cell_inline() {
+        let pool = PinnedPool::new(adders(1), 4);
+        assert_eq!(pool.num_workers(), 0, "a one-cell scatter gains nothing from a worker");
+        assert_eq!(pool.scatter(vec![(0, 3)]), vec![3]);
+        let forced = PinnedPool::with_wake_mode(adders(1), 4, WakeMode::Always);
+        assert_eq!(forced.num_workers(), 1, "Always still routes through a worker");
     }
 
     #[test]

@@ -618,6 +618,9 @@ mod tests {
 
     #[test]
     fn disabled_hooks_are_no_ops() {
+        // Clearing the process-global plan must not race a `with_plan` test
+        // (`faulty_io_round_trips_when_quiet` holds the same lock).
+        let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         clear();
         assert!(!enabled());
         assert_eq!(io_fault("t.io", IoOp::Read, 64), IoFault::None);
@@ -741,6 +744,7 @@ mod tests {
 
     #[test]
     fn faulty_io_round_trips_when_quiet() {
+        let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         clear();
         let mut buf = Vec::new();
         {

@@ -17,8 +17,12 @@ use imm_shard::{ShardedEngine, ShardedIndex};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
+
+/// The fault plan is process-global, so the two tests of this binary run one
+/// at a time: the disarmed test must not see the sweep's installed plan.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// How many seeds the grid sweeps (`FAULT_SEED_COUNT`, default 4).
 fn seed_count() -> u64 {
@@ -67,6 +71,7 @@ fn is_structured(error: &ClientError) -> bool {
 
 #[test]
 fn seeded_connection_chaos_never_corrupts_a_served_answer() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let (sharded, battery) = fixture();
     let oracle = ShardedEngine::new(Arc::clone(&sharded));
     let expected = oracle.execute_batch(&battery, 2);
@@ -132,6 +137,7 @@ fn seeded_connection_chaos_never_corrupts_a_served_answer() {
 /// when disarmed.
 #[test]
 fn a_disarmed_stack_serves_cleanly() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let (sharded, battery) = fixture();
     let oracle = ShardedEngine::new(Arc::clone(&sharded));
     let expected = oracle.execute_batch(&battery, 2);

@@ -242,7 +242,7 @@ impl ServerConfig {
         ServerConfig {
             listen,
             threads: imm_exec::default_threads(),
-            cache_capacity: imm_service::DEFAULT_CACHE_CAPACITY,
+            cache_capacity: imm_shard::DEFAULT_CACHE_CAPACITY,
             budget: None,
             max_inflight: 64,
             tick: Duration::from_millis(50),

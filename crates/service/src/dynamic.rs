@@ -27,11 +27,12 @@
 //!    bitmap scans), the per-set provenance records are swapped, and the
 //!    delta is appended to the log.
 //!
-//! The query layer integrates via [`crate::QueryEngine::apply_delta`], which
-//! also resets the shared greedy prefix and drops the response cache so no
-//! stale answer survives the mutation.
+//! The query layer integrates via `imm_shard::ShardedEngine::apply_delta`,
+//! which routes the same refresh through its shard map, then resets the
+//! shared greedy prefix and drops the response cache so no stale answer
+//! survives the mutation.
 
-use crate::index::{IndexError, SetId, SketchIndex};
+use crate::index::{IndexError, PostingsStore, SetId, SketchIndex};
 use efficient_imm::balance::Schedule;
 use efficient_imm::sampling::{
     generate_indexed_rrr_set, generate_rrr_sets_traced, SamplingConfig, VisitMarker,
@@ -437,8 +438,7 @@ impl SketchIndex {
         debug_assert_eq!(new_postings.len(), new_offsets[n]);
         // Wholesale replacement: a mapped (shared) postings backing is
         // dropped here and the patched index owns its postings from now on.
-        self.postings =
-            crate::index::PostingsStore::Owned { offsets: new_offsets, postings: new_postings };
+        self.postings = PostingsStore::Owned { offsets: new_offsets, postings: new_postings };
 
         let provenance =
             self.provenance.as_mut().expect("patch is only reached on dynamic indexes");

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use crate::dynamic::SketchProvenance;
 use imm_graph::CsrGraph;
-use imm_rrr::{CoverageStats, NodeId, RrrCollection};
+use imm_rrr::{CollectionSlice, CoverageStats, NodeId, RrrCollection};
 
 /// Identifier of one RRR set inside the indexed collection.
 pub type SetId = u32;
@@ -28,14 +28,21 @@ pub trait PostingsSource: Send + Sync + std::panic::RefUnwindSafe + std::fmt::De
     fn set_ids(&self) -> &[SetId];
 }
 
-/// Backing storage of an index's inverted postings: built on the heap by
-/// [`SketchIndex::from_collection`], or borrowed from a shared buffer (the
-/// memory-mapped snapshot path). Mutation happens only through wholesale
-/// replacement (`dynamic::patch` rebuilds both arrays), which lands in the
-/// `Owned` form.
+/// Backing storage of an inverted vertex → set-id postings table: built on
+/// the heap by [`PostingsStore::build`], or borrowed from a shared buffer
+/// (the memory-mapped snapshot path). Mutation happens only through
+/// wholesale replacement (`dynamic::patch` rebuilds both arrays), which
+/// lands in the `Owned` form.
+///
+/// Set ids are relative to the range the table was built over: a
+/// [`SketchIndex`] builds over its whole collection (global ids), a shard
+/// over its own set range (local ids). The variants are `non_exhaustive`, so
+/// only this crate constructs a store and its offsets always agree with its
+/// postings.
 #[derive(Debug, Clone)]
-pub(crate) enum PostingsStore {
+pub enum PostingsStore {
     /// Heap-owned CSR arrays.
+    #[non_exhaustive]
     Owned {
         /// One offset per vertex, plus the trailing total.
         offsets: Vec<usize>,
@@ -43,13 +50,22 @@ pub(crate) enum PostingsStore {
         postings: Vec<SetId>,
     },
     /// Both arrays borrowed from a shared read-only buffer.
+    #[non_exhaustive]
     Shared(Arc<dyn PostingsSource>),
 }
 
 impl PostingsStore {
-    /// Postings of vertex `v`.
+    /// Invert the sets of `sets` into heap-owned CSR postings, with set ids
+    /// counted from the start of the slice.
+    pub fn build(sets: CollectionSlice<'_>) -> Result<Self, IndexError> {
+        let (offsets, postings) = build_postings(sets)?;
+        Ok(PostingsStore::Owned { offsets, postings })
+    }
+
+    /// Postings of vertex `v`, in increasing set-id order.
     #[inline]
-    fn slice(&self, v: usize) -> &[SetId] {
+    pub fn get(&self, v: NodeId) -> &[SetId] {
+        let v = v as usize;
         match self {
             PostingsStore::Owned { offsets, postings } => &postings[offsets[v]..offsets[v + 1]],
             PostingsStore::Shared(s) => {
@@ -61,7 +77,8 @@ impl PostingsStore {
 
     /// Posting-list length of vertex `v`.
     #[inline]
-    fn degree(&self, v: usize) -> u64 {
+    pub fn degree(&self, v: NodeId) -> u64 {
+        let v = v as usize;
         match self {
             PostingsStore::Owned { offsets, .. } => (offsets[v + 1] - offsets[v]) as u64,
             PostingsStore::Shared(s) => {
@@ -71,6 +88,13 @@ impl PostingsStore {
         }
     }
 
+    /// Whether the arrays are borrowed from a shared (e.g. memory-mapped)
+    /// buffer rather than heap-built.
+    #[inline]
+    pub fn is_shared(&self) -> bool {
+        matches!(self, PostingsStore::Shared(_))
+    }
+
     fn num_offsets(&self) -> usize {
         match self {
             PostingsStore::Owned { offsets, .. } => offsets.len(),
@@ -78,14 +102,17 @@ impl PostingsStore {
         }
     }
 
-    fn num_postings(&self) -> usize {
+    /// Total postings entries (Σ over vertices of [`PostingsStore::degree`]).
+    pub fn num_postings(&self) -> usize {
         match self {
             PostingsStore::Owned { postings, .. } => postings.len(),
             PostingsStore::Shared(s) => s.set_ids().len(),
         }
     }
 
-    fn memory_bytes(&self) -> usize {
+    /// Heap bytes of the arrays (for shared backings: the mapped bytes
+    /// resident once touched).
+    pub fn memory_bytes(&self) -> usize {
         match self {
             PostingsStore::Owned { offsets, postings } => {
                 offsets.len() * std::mem::size_of::<usize>()
@@ -108,9 +135,11 @@ impl PartialEq for PostingsStore {
             return false;
         }
         let n = self.num_offsets().saturating_sub(1);
-        (0..n).all(|v| self.slice(v) == other.slice(v))
+        (0..n).all(|v| self.get(v as NodeId) == other.get(v as NodeId))
     }
 }
+
+impl Eq for PostingsStore {}
 
 /// Provenance carried alongside the index (and through snapshots), so a
 /// loaded index can report what it was built from.
@@ -218,13 +247,8 @@ impl SketchIndex {
     /// Build an index over a bare collection (no source graph at hand, e.g.
     /// when reloading a snapshot).
     pub fn from_collection(collection: RrrCollection, meta: IndexMeta) -> Result<Self, IndexError> {
-        let (offsets, postings) = build_postings(&collection)?;
-        Ok(SketchIndex {
-            sets: collection,
-            meta,
-            postings: PostingsStore::Owned { offsets, postings },
-            provenance: None,
-        })
+        let postings = PostingsStore::build(collection.slice(0, collection.len()))?;
+        Ok(SketchIndex { sets: collection, meta, postings, provenance: None })
     }
 
     /// Assemble an index whose postings are **borrowed** from a shared
@@ -272,7 +296,7 @@ impl SketchIndex {
     /// memory-mapped) buffer rather than heap-built.
     #[inline]
     pub fn is_postings_shared(&self) -> bool {
-        matches!(self.postings, PostingsStore::Shared(_))
+        self.postings.is_shared()
     }
 
     /// Build an index over a bare collection and attach sampling provenance
@@ -291,10 +315,11 @@ impl SketchIndex {
     }
 
     /// Take the index apart into its owned components (collection, metadata,
-    /// provenance), dropping the inverted postings. This is how a sharded
-    /// index adopts a single-index build without cloning the arena.
-    pub fn into_parts(self) -> (RrrCollection, IndexMeta, Option<SketchProvenance>) {
-        (self.sets, self.meta, self.provenance)
+    /// provenance, postings). This is how a sharded index adopts a
+    /// single-index build without cloning the arena — and, as one shard,
+    /// without rebuilding (or unmapping) the postings.
+    pub fn into_parts(self) -> (RrrCollection, IndexMeta, Option<SketchProvenance>, PostingsStore) {
+        (self.sets, self.meta, self.provenance, self.postings)
     }
 
     /// Number of vertices of the indexed vertex space.
@@ -312,20 +337,14 @@ impl SketchIndex {
     /// The ids of every set containing `v`, in increasing order.
     #[inline]
     pub fn postings(&self, v: NodeId) -> &[SetId] {
-        self.postings.slice(v as usize)
+        self.postings.get(v)
     }
 
     /// Occurrence count of `v` — how many sets contain it. This is the
     /// initial greedy counter value, precomputed at build time.
     #[inline]
     pub fn degree(&self, v: NodeId) -> u64 {
-        self.postings.degree(v as usize)
-    }
-
-    /// All occurrence counts as a fresh mutable vector (the greedy engine's
-    /// working counter).
-    pub fn degree_vector(&self) -> Vec<u64> {
-        (0..self.num_nodes()).map(|v| self.degree(v as NodeId)).collect()
+        self.postings.degree(v)
     }
 
     /// The indexed collection.
@@ -365,21 +384,21 @@ impl SketchIndex {
     }
 }
 
-/// The two streaming passes that invert a collection into CSR postings
+/// The two streaming passes that invert a set range into CSR postings
 /// (one branch per set, tight loops per slice): occurrence counts, then the
-/// postings fill. Shared by the index constructor and the v4 snapshot
-/// encoder, so the stored postings sections are byte-for-byte what a heap
-/// build would compute.
+/// postings fill. Shared by every postings build (index, shard) and the v4
+/// snapshot encoder, so the stored postings sections are byte-for-byte what
+/// a heap build would compute.
 pub(crate) fn build_postings(
-    collection: &RrrCollection,
+    sets: CollectionSlice<'_>,
 ) -> Result<(Vec<usize>, Vec<SetId>), IndexError> {
-    let n = collection.num_nodes();
-    if u32::try_from(collection.len()).is_err() {
-        return Err(IndexError::TooManySets(collection.len()));
+    let n = sets.num_nodes();
+    if u32::try_from(sets.len()).is_err() {
+        return Err(IndexError::TooManySets(sets.len()));
     }
     let mut offsets = vec![0usize; n + 1];
     let mut bad: Option<NodeId> = None;
-    for set in collection {
+    for set in sets.iter() {
         set.for_each(|v| {
             if (v as usize) < n {
                 offsets[v as usize + 1] += 1;
@@ -396,7 +415,7 @@ pub(crate) fn build_postings(
     }
     let mut cursor = offsets.clone();
     let mut postings = vec![0 as SetId; offsets[n]];
-    for (sid, set) in collection.iter().enumerate() {
+    for (sid, set) in sets.iter().enumerate() {
         set.for_each(|v| {
             postings[cursor[v as usize]] = sid as SetId;
             cursor[v as usize] += 1;
@@ -424,7 +443,8 @@ mod tests {
         let c = collection(6, &[&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[2]]);
         let index = SketchIndex::from_collection(c, IndexMeta::default()).unwrap();
         assert_eq!(index.num_sets(), 8);
-        assert_eq!(index.degree_vector(), vec![2, 4, 2, 2, 3, 1]);
+        let degrees: Vec<u64> = (0..6).map(|v| index.degree(v)).collect();
+        assert_eq!(degrees, vec![2, 4, 2, 2, 3, 1]);
         assert_eq!(index.postings(1), &[0, 1, 3, 4]);
         assert_eq!(index.postings(4), &[2, 3, 4]);
         assert_eq!(index.postings(5), &[4]);

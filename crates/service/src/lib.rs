@@ -12,32 +12,29 @@
 //! * [`SketchIndex`] — immutable index over an [`imm_rrr::RrrCollection`]:
 //!   inverted vertex → set postings and precomputed occurrence counts,
 //!   shareable across threads via `Arc`.
-//! * [`QueryEngine`] — answers [`Query::TopK`] (incremental greedy with a
-//!   shared prefix: budgets `k` then `k + 5` reuse the first `k` rounds and
-//!   never resample; an optional **audience** bitmap restricts coverage to
-//!   the sets touching a vertex slice), [`Query::Spread`] and
-//!   [`Query::Marginal`]; batches fan out across worker threads and
-//!   responses are memoized in an LRU [`cache::QueryCache`] keyed on
-//!   normalized queries.
+//! * [`Query`] / [`QueryResponse`] — the query vocabulary: Top-K (with an
+//!   optional **audience** bitmap restricting coverage to the sets touching
+//!   a vertex slice), spread and marginal-gain estimates, plus the
+//!   normalized [`QueryKey`] and the LRU [`cache::QueryCache`] every engine
+//!   memoizes responses in. The engine itself is `imm_shard::ShardedEngine`:
+//!   a single index is served as its one-shard case.
 //! * [`snapshot`] — a versioned binary format (magic bytes, version field,
 //!   checksum) so an index built once can be memory-loaded by later
 //!   processes: [`SketchIndex::save`] / [`SketchIndex::load`]. Format v2
 //!   persists sampling provenance and the delta log; v1 files still load.
 //! * [`dynamic`] — incremental refresh under graph mutation: a dynamic index
 //!   ([`SketchIndex::sample`]) records per-set provenance, and
-//!   [`SketchIndex::apply_delta`] / [`QueryEngine::apply_delta`] resample
-//!   only the RRR sets an [`imm_graph::GraphDelta`] actually touches,
-//!   patching the postings in place and invalidating the response cache —
-//!   byte-identical to a from-scratch rebuild on the mutated graph.
+//!   [`SketchIndex::apply_delta`] resamples only the RRR sets an
+//!   [`imm_graph::GraphDelta`] actually touches and patches the postings in
+//!   place — byte-identical to a from-scratch rebuild on the mutated graph.
 //!
 //! ```
 //! use efficient_imm::{run_imm, Algorithm, ExecutionConfig, ImmParams};
 //! use imm_diffusion::DiffusionModel;
 //! use imm_graph::{generators, CsrGraph, EdgeWeights};
-//! use imm_service::{Query, QueryEngine, QueryResponse, SketchIndex};
+//! use imm_service::SketchIndex;
 //! use rand::rngs::SmallRng;
 //! use rand::SeedableRng;
-//! use std::sync::Arc;
 //!
 //! let mut rng = SmallRng::seed_from_u64(1);
 //! let graph = CsrGraph::from_edge_list(&generators::social_network(300, 5, 0.3, &mut rng));
@@ -47,17 +44,13 @@
 //! let exec = ExecutionConfig::new(Algorithm::Efficient, 2).with_retained_sets(true);
 //! let result = run_imm(&graph, &weights, &params, &exec).unwrap();
 //! let index = SketchIndex::build(&graph, result.rrr_sets.unwrap(), "docs").unwrap();
-//! let engine = QueryEngine::new(Arc::new(index));
-//! // Same collection, same greedy — the served seeds match the batch run.
-//! match engine.execute(&Query::top_k(4)) {
-//!     QueryResponse::TopK { seeds, .. } => assert_eq!(seeds, result.seeds),
-//!     _ => unreachable!(),
-//! }
+//! // The first seed covers the most sets: its posting list is the longest.
+//! let best = result.seeds[0];
+//! assert!((0..300).all(|v| index.degree(v) <= index.degree(best)));
 //! ```
 
 pub mod cache;
 pub mod dynamic;
-pub mod engine;
 pub mod index;
 pub mod metrics;
 pub mod query;
@@ -68,8 +61,7 @@ pub use dynamic::{
     invalidated_sets, resample_sets, DeltaLogEntry, DynamicError, RefreshStats, SampleSpec,
     SketchProvenance,
 };
-pub use engine::{serve_batch, serve_cached, QueryEngine, DEFAULT_CACHE_CAPACITY};
-pub use index::{IndexError, IndexMeta, PostingsSource, SetId, SketchIndex};
+pub use index::{IndexError, IndexMeta, PostingsSource, PostingsStore, SetId, SketchIndex};
 pub use query::{Query, QueryKey, QueryResponse};
 pub use snapshot::{
     load_collection, load_collection_from_path, load_parts, parse_v4_head,

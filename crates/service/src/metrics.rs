@@ -4,22 +4,20 @@
 //! Three families, matching where serving regressions actually hide:
 //!
 //! * **Query latency + cache** — per-query-type latency histograms
-//!   recorded around the *compute* path of [`serve_cached`] (cache hits
-//!   return in nanoseconds and would drown the percentiles, so they are
-//!   counted, not timed), plus hit/miss/eviction counters and a
-//!   queries/sec rate meter. Both the single-index and the sharded
-//!   engine route through the same wrapper, so these cover both.
-//! * **CELF** — rounds, heap pops, and stale revalidations. A
-//!   revalidation blow-up (pops ≫ rounds) is the classic lazy-greedy
-//!   failure mode and is invisible from end-to-end latency alone.
+//!   recorded around the *compute* path of the query engine
+//!   (`imm_shard::ShardedEngine`; cache hits return in nanoseconds and
+//!   would drown the percentiles, so they are counted, not timed), plus
+//!   hit/miss/eviction counters and a queries/sec rate meter.
+//! * **CELF** — rounds, heap pops, and stale revalidations of the engine's
+//!   lazy greedy. A revalidation blow-up (pops ≫ rounds) is the classic
+//!   lazy-greedy failure mode and is invisible from end-to-end latency
+//!   alone.
 //! * **Dynamic refresh** — delta edges applied, sets invalidated vs
 //!   actually resampled, and postings candidates skipped by the edge
 //!   footprint filter (the pruning that keeps refresh sublinear).
 //!
 //! All hot-path updates are relaxed atomic adds; CELF totals are
 //! accumulated per round, not per pop.
-//!
-//! [`serve_cached`]: crate::engine::serve_cached
 
 use std::sync::Once;
 
@@ -100,7 +98,7 @@ pub static DELTA_FOOTPRINT_SKIPS: Counter = Counter::new(
     "Invalidation candidates dismissed by the per-set edge footprint filter",
 );
 
-/// Query arrival rate across both engines (hits and misses).
+/// Query arrival rate (cache hits and misses).
 pub static QUERY_RATE: RateMeter =
     RateMeter::new("service_queries", "Queries served (cache hits and misses combined)");
 

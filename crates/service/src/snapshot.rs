@@ -541,7 +541,8 @@ fn encode_payload_v4(
 ) -> Result<Vec<u8>, SnapshotError> {
     use imm_rrr::SetView;
 
-    let (postings_offsets, postings) = crate::index::build_postings(collection)?;
+    let (postings_offsets, postings) =
+        crate::index::build_postings(collection.slice(0, collection.len()))?;
     let num_nodes = collection.num_nodes();
     let num_sets = collection.len();
 

@@ -1,32 +1,36 @@
-//! Scatter/gather query serving over a [`ShardedIndex`], on a persistent
-//! shard-pinned worker pool.
+//! The query engine: scatter/gather serving over a [`ShardedIndex`], on a
+//! persistent shard-pinned worker pool. A single index is served as the
+//! one-shard case ([`ShardedIndex::from_index`] with one shard adopts the
+//! index's postings as they are).
 //!
-//! The engine answers the full `imm-service` query vocabulary with the same
-//! byte-identical results as the single-index `QueryEngine` — that parity is
-//! the crate's acceptance property — while structuring every counting pass
-//! as **typed requests to pinned shard cells** ([`imm_exec::PinnedPool`]):
-//! each cell permanently owns one [`ShardSegment`] plus its mutable serving
-//! state (alive flags, audience masks), and a request round-trip replaces
+//! Every counting pass is structured as **typed requests to pinned shard
+//! cells** ([`imm_exec::PinnedPool`]): each cell permanently owns one
+//! [`ShardSegment`] plus its mutable serving state (alive flags, audience
+//! masks, a marking scratch bitset), and a request round-trip replaces
 //! the per-round thread spawn that made PR 5's scatter/gather slower than
-//! the single index (`BENCH_5.json`).
+//! the single index (`BENCH_5.json`). A pool with no workers serves every
+//! request inline on the calling thread through the same protocol.
 //!
 //! * **Spread / Marginal**: each shard counts covered sets among *its own*
 //!   range using its local postings and a shard-sized marking bitset; the
-//!   gathered per-shard counts sum to exactly the single-index tally.
-//! * **Top-K**: CELF lazy greedy over **merged bounds held engine-side**.
-//!   The frontier holds one `(bound, vertex)` entry per vertex; the merged
-//!   live counts start as the sum of the per-shard degrees and are kept
-//!   exact by the retire stream: each round scatters one
+//!   gathered per-shard counts sum to exactly the whole-collection tally.
+//! * **Top-K**: CELF lazy greedy (Leskovec et al., KDD 2007) over **merged
+//!   bounds held engine-side**. Greedy max coverage is prefix-stable (the
+//!   first `k` seeds of a budget-`k+Δ` selection are the budget-`k`
+//!   selection), so the engine keeps one shared greedy prefix and only
+//!   ever *extends* it: asking for `k` and later `k+5` plays five new
+//!   rounds. The frontier holds one `(bound, vertex)` entry per vertex;
+//!   the merged live counts start as the sum of the per-shard degrees and
+//!   are kept exact by the retire stream: each round scatters one
 //!   `ShardRequest::Retire`, every shard flips its own covered sets and
 //!   streams back their global ids (in recycled buffers), and the engine
 //!   walks those sets once to decrement the merged counts. Revalidating a
 //!   popped frontier entry is therefore a local array read — a CELF round
-//!   costs exactly one message round-trip per shard, and on a host without
-//!   real parallelism the pool serves the round inline with no parking or
-//!   cross-thread traffic at all. Ties break toward the smaller vertex id
-//!   and zero-gain rounds emit deterministically, exactly like the
-//!   single-index CELF — so Top-K stays lazy end to end and the seeds are
-//!   byte-identical for any shard count and any worker-thread count.
+//!   costs exactly one message round-trip per shard. Ties break toward the
+//!   smaller vertex id and zero-gain rounds emit deterministically, exactly
+//!   like the batch selection kernels — so the seeds are byte-identical to
+//!   `select_seeds` over the same collection for any shard count and any
+//!   worker-thread count.
 
 use crate::index::ShardedIndex;
 use crate::segment::ShardSegment;
@@ -35,12 +39,15 @@ use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
 use imm_numa::Topology;
 use imm_rrr::{BitSet, NodeId};
 use imm_service::{
-    serve_batch, CacheStats, DynamicError, Query, QueryCache, QueryKey, QueryResponse, RefreshStats,
+    CacheStats, DynamicError, Query, QueryCache, QueryKey, QueryResponse, RefreshStats,
 };
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
+
+/// Default response-cache capacity of a new engine.
+pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Attempts for idempotent scatters before giving up: every retry first
 /// respawns dead workers, so only a plan injecting worker deaths at a
@@ -69,13 +76,13 @@ struct ShardCell {
     fresh_alive: Vec<bool>,
     /// Alive flags of the masked session, when one is open.
     masked_alive: Option<Vec<bool>>,
+    /// Coverage-marking bitset of Spread/Marginal requests, sized to the
+    /// shard on install and left clear between requests.
+    scratch: BitSet,
 }
 
 /// The typed request vocabulary a pinned shard cell serves.
 enum ShardRequest {
-    /// Per-vertex occurrence counts of this shard (the engine merges them
-    /// into the initial CELF bounds).
-    Degrees,
     /// Live-set count of one vertex in the given session — the
     /// distributed revalidation probe. The hot path revalidates against
     /// engine-side merged counts; this request is the consistency
@@ -89,10 +96,9 @@ enum ShardRequest {
     MaskedInit { audience: Arc<BitSet> },
     /// Close the masked session.
     MaskedClear,
-    /// Postings walk: count sets covered by `seeds` in this shard.
-    Spread { seeds: Arc<Vec<NodeId>> },
-    /// Postings walk: count sets `candidate` adds over `seeds`.
-    Marginal { seeds: Arc<Vec<NodeId>>, candidate: NodeId },
+    /// Postings walk: with no `candidate`, count this shard's sets covered
+    /// by `seeds` (Spread); with one, the sets it adds over them (Marginal).
+    Coverage { seeds: Arc<Vec<NodeId>>, candidate: Option<NodeId> },
     /// Drop the cell's index handle (first half of `apply_delta`, so the
     /// engine holds the only reference while rebuilding).
     Release,
@@ -108,8 +114,16 @@ enum ShardResponse {
 }
 
 impl ShardCell {
-    fn index(&self) -> &Arc<ShardedIndex> {
-        self.index.as_ref().expect("shard cell has an installed index")
+    /// A cell serving `shard` of `index`, with a fully-alive fresh session.
+    fn new(index: Arc<ShardedIndex>, shard: usize) -> Self {
+        let len = index.segments()[shard].len();
+        ShardCell {
+            index: Some(index),
+            shard,
+            fresh_alive: vec![true; len],
+            masked_alive: None,
+            scratch: BitSet::new(len),
+        }
     }
 
     /// Disjoint borrows of the serving state: the shard's segment and the
@@ -144,13 +158,35 @@ impl ShardCell {
         ShardResponse::Retired { buf }
     }
 
-    /// The requested session's alive flags, for the fused (all-locks-held)
-    /// serving path.
-    fn alive_mut(&mut self, session: Session) -> &mut Vec<bool> {
-        match session {
-            Session::Fresh => &mut self.fresh_alive,
-            Session::Masked => self.masked_alive.as_mut().expect("masked session is open"),
+    /// Serve [`ShardRequest::Coverage`]. The marks go into the cell's
+    /// scratch bitset and exactly those bits are cleared again before
+    /// returning, so a request costs the postings it walks, not the shard
+    /// size. Out-of-range vertices cover nothing.
+    fn coverage(&mut self, seeds: &[NodeId], candidate: Option<NodeId>) -> usize {
+        let index = self.index.as_ref().expect("shard cell has an installed index");
+        let segment = &index.segments()[self.shard];
+        let n = index.num_nodes();
+        let in_range = |v: &&NodeId| (**v as usize) < n;
+        let mut covered = 0usize;
+        for &seed in seeds.iter().filter(in_range) {
+            for &lsid in segment.postings(seed) {
+                covered += usize::from(self.scratch.insert(lsid as usize));
+            }
         }
+        let count = match candidate {
+            None => covered,
+            Some(c) if in_range(&&c) => {
+                segment.postings(c).iter().filter(|&&l| !self.scratch.contains(l as usize)).count()
+            }
+            Some(_) => 0,
+        };
+        for &seed in seeds.iter().filter(in_range) {
+            for &lsid in segment.postings(seed) {
+                self.scratch.remove(lsid as usize);
+            }
+        }
+        debug_assert!(self.scratch.is_empty(), "scratch is clear between requests");
+        count
     }
 
     fn masked_init(&mut self, audience: &BitSet) -> ShardResponse {
@@ -184,12 +220,6 @@ impl Pinned for ShardCell {
 
     fn serve(&mut self, request: ShardRequest) -> ShardResponse {
         match request {
-            ShardRequest::Degrees => {
-                let index = self.index();
-                let segment = &index.segments()[self.shard];
-                let n = index.num_nodes();
-                ShardResponse::Counts((0..n).map(|v| segment.degree(v as NodeId)).collect())
-            }
             ShardRequest::LiveCount { vertex, session } => {
                 let (segment, alive) = self.segment_and_alive(session);
                 let live = segment.postings(vertex).iter().filter(|&&l| alive[l as usize]).count();
@@ -201,53 +231,15 @@ impl Pinned for ShardCell {
                 self.masked_alive = None;
                 ShardResponse::Unit
             }
-            ShardRequest::Spread { seeds } => {
-                let index = self.index();
-                let segment = &index.segments()[self.shard];
-                let n = index.num_nodes();
-                let mut marks = BitSet::new(segment.len());
-                let mut covered = 0usize;
-                for &seed in seeds.iter() {
-                    if (seed as usize) < n {
-                        for &lsid in segment.postings(seed) {
-                            covered += usize::from(marks.insert(lsid as usize));
-                        }
-                    }
-                }
-                ShardResponse::Count(covered)
-            }
-            ShardRequest::Marginal { seeds, candidate } => {
-                let index = self.index();
-                let segment = &index.segments()[self.shard];
-                let n = index.num_nodes();
-                let mut marks = BitSet::new(segment.len());
-                for &seed in seeds.iter() {
-                    if (seed as usize) < n {
-                        for &lsid in segment.postings(seed) {
-                            marks.insert(lsid as usize);
-                        }
-                    }
-                }
-                let gained = if (candidate as usize) < n {
-                    segment
-                        .postings(candidate)
-                        .iter()
-                        .filter(|&&lsid| !marks.contains(lsid as usize))
-                        .count()
-                } else {
-                    0
-                };
-                ShardResponse::Count(gained)
+            ShardRequest::Coverage { seeds, candidate } => {
+                ShardResponse::Count(self.coverage(&seeds, candidate))
             }
             ShardRequest::Release => {
                 self.index = None;
                 ShardResponse::Unit
             }
             ShardRequest::Install { index } => {
-                let len = index.segments()[self.shard].len();
-                self.index = Some(index);
-                self.fresh_alive = vec![true; len];
-                self.masked_alive = None;
+                *self = ShardCell::new(index, self.shard);
                 ShardResponse::Unit
             }
         }
@@ -285,7 +277,7 @@ struct DistributedGreedy {
     /// containing it), maintained from the retire streams.
     merged: Vec<u64>,
     /// CELF frontier: one entry per vertex, ordered by bound then toward
-    /// the smaller vertex id — the single-index comparator.
+    /// the smaller vertex id — the selection kernels' tie order.
     frontier: BinaryHeap<(u64, Reverse<NodeId>)>,
     covered_after: Vec<usize>,
     seeds: Vec<NodeId>,
@@ -313,12 +305,22 @@ impl DistributedGreedy {
     }
 
     /// Pop the round's argmax: revalidate stale bounds against the merged
-    /// live counts (a local read) until the top entry is live.
+    /// live counts (a local read) until the top entry is live. Counts only
+    /// fall as sets retire, so a popped entry whose bound matches its live
+    /// count *is* the argmax; ties resolve toward the smaller vertex id via
+    /// the comparator — the selection kernels' reduction order.
     fn pop_argmax(&mut self) -> (NodeId, u64) {
+        let mut pops = 0u64;
         loop {
+            pops += 1;
             let (stored, Reverse(v)) = self.frontier.pop().expect("one entry per vertex");
             let live = self.merged[v as usize];
             if stored == live {
+                // Metric totals are folded in once per round, not per pop;
+                // the last pop is the accepted argmax, the rest were stale.
+                imm_service::metrics::CELF_ROUNDS.increment();
+                imm_service::metrics::CELF_HEAP_POPS.add(pops);
+                imm_service::metrics::CELF_REVALIDATIONS.add(pops - 1);
                 return (v, live);
             }
             debug_assert!(live < stored, "merged counts only fall as sets retire");
@@ -327,66 +329,22 @@ impl DistributedGreedy {
     }
 }
 
-/// Engine-side merged postings over all shards: CSR by vertex, with each
-/// vertex's set ids global and grouped in ascending shard order. Built
-/// only for zero-worker pools, where the fused greedy walks exactly one
-/// postings list per round — the round cost is then independent of the
-/// shard count instead of paying one postings lookup (and its cache
-/// miss) per shard.
-#[derive(Debug)]
-struct MergedPostings {
-    offsets: Vec<usize>,
-    gsids: Vec<GlobalSetId>,
-}
-
-impl MergedPostings {
-    fn build(index: &ShardedIndex) -> Self {
-        let n = index.num_nodes();
-        let mut offsets = vec![0usize; n + 1];
-        for segment in index.segments() {
-            for v in 0..n {
-                offsets[v + 1] += segment.degree(v as NodeId) as usize;
-            }
-        }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        let mut cursor = offsets.clone();
-        let mut gsids = vec![0 as GlobalSetId; *offsets.last().unwrap_or(&0)];
-        // Shards ascend, so each vertex's list ends grouped by shard in
-        // ascending global-range order — what the fused walk relies on.
-        for segment in index.segments() {
-            let start = segment.start() as GlobalSetId;
-            for v in 0..n {
-                for &lsid in segment.postings(v as NodeId) {
-                    gsids[cursor[v]] = start + lsid;
-                    cursor[v] += 1;
-                }
-            }
-        }
-        MergedPostings { offsets, gsids }
-    }
-
-    #[inline]
-    fn get(&self, v: NodeId) -> &[GlobalSetId] {
-        &self.gsids[self.offsets[v as usize]..self.offsets[v as usize + 1]]
-    }
-}
-
-/// A query-serving engine over a [`ShardedIndex`], answering the same
-/// vocabulary as `imm_service::QueryEngine` with byte-identical results.
+/// The query-serving engine over a [`ShardedIndex`] (a single index is its
+/// one-shard case), answering the [`Query`] vocabulary with results
+/// byte-identical for every shard count.
 ///
-/// Execution runs on an embedded [`PinnedPool`]: one cell per shard, with
-/// worker threads only where the host (and [`WakeMode`]) can profit from
-/// them. Dropping the engine shuts the pool down cleanly.
+/// The engine is `Sync`: Spread/Marginal queries scatter lock-free against
+/// the immutable index, Top-K extensions serialize on the shared greedy
+/// prefix, and responses are memoized in an LRU cache keyed on normalized
+/// queries. Execution runs on an embedded [`PinnedPool`]: one cell per
+/// shard, with worker threads only where the host (and [`WakeMode`]) can
+/// profit from them. Dropping the engine shuts the pool down cleanly.
 #[derive(Debug)]
 pub struct ShardedEngine {
     index: Arc<ShardedIndex>,
     pool: PinnedPool<ShardCell>,
     /// Merged per-vertex degrees — the reset state of the greedy bounds.
     base_counts: Vec<u64>,
-    /// Present exactly when the pool has no workers (fused serving).
-    merged_postings: Option<MergedPostings>,
     greedy: Mutex<DistributedGreedy>,
     cache: QueryCache,
 }
@@ -396,7 +354,7 @@ impl ShardedEngine {
     /// `imm_exec::configure_global`) with the default cache capacity.
     pub fn new(index: Arc<ShardedIndex>) -> Self {
         let threads = imm_exec::global().num_threads();
-        Self::with_options(index, threads, imm_service::DEFAULT_CACHE_CAPACITY)
+        Self::with_options(index, threads, DEFAULT_CACHE_CAPACITY)
     }
 
     /// Engine with explicit parallelism and cache capacity (0 disables
@@ -433,7 +391,7 @@ impl ShardedEngine {
         wake: WakeMode,
         topology: Topology,
     ) -> Self {
-        // The sharded engine serves through `serve_cached` and records
+        // The engine records the service_* query/cache/CELF metrics and
         // shard_* metrics of its own, so both families must be registered.
         imm_service::metrics::register();
         crate::metrics::register();
@@ -443,26 +401,12 @@ impl ShardedEngine {
         let shard_lens: Vec<usize> = index.segments().iter().map(|s| s.len()).collect();
         crate::placement::account_scratch_regions(topology, placement.as_ref(), &shard_lens);
         let cells = (0..index.num_shards())
-            .map(|shard| ShardCell {
-                index: Some(Arc::clone(&index)),
-                shard,
-                fresh_alive: vec![true; index.segments()[shard].len()],
-                masked_alive: None,
-            })
+            .map(|shard| ShardCell::new(Arc::clone(&index), shard))
             .collect();
         let pool = PinnedPool::with_placement(cells, threads, wake, placement);
-        let base_counts = merged_degrees(&pool, index.num_nodes())
-            .expect("degree scatter retries exhausted while constructing the engine");
-        let merged_postings = (pool.num_workers() == 0).then(|| MergedPostings::build(&index));
+        let base_counts = merged_degrees(&index);
         let greedy = Mutex::new(DistributedGreedy::from_merged(base_counts.clone(), pool.len()));
-        ShardedEngine {
-            index,
-            pool,
-            base_counts,
-            merged_postings,
-            greedy,
-            cache: QueryCache::new(cache_capacity),
-        }
+        ShardedEngine { index, pool, base_counts, greedy, cache: QueryCache::new(cache_capacity) }
     }
 
     /// The sharded index this engine serves.
@@ -524,11 +468,7 @@ impl ShardedEngine {
         for response in installed {
             debug_assert!(matches!(response, ShardResponse::Unit));
         }
-        self.base_counts = merged_degrees(&self.pool, self.index.num_nodes())
-            .expect("degree scatter retries exhausted mid-refresh");
-        if self.merged_postings.is_some() {
-            self.merged_postings = Some(MergedPostings::build(&self.index));
-        }
+        self.base_counts = merged_degrees(&self.index);
         *self.greedy.lock() = DistributedGreedy::from_merged(self.base_counts.clone(), shards);
         self.cache.clear();
         result
@@ -549,8 +489,11 @@ impl ShardedEngine {
     /// instead of a panic, and the engine heals itself on the next call
     /// (dead workers respawn, dirty greedy sessions rebuild).
     pub fn try_execute(&self, query: &Query) -> Result<QueryResponse, ScatterError> {
-        // Mirrors `imm_service::serve_cached`, except a failed compute
-        // must not be cached (and caches nothing in its place).
+        // The one place query metrics are recorded: the queries/sec meter,
+        // hit/miss counters, and the per-query-type latency histogram
+        // around the miss-path compute (hits return in nanoseconds and
+        // would drown the percentiles, so they are counted, not timed). A
+        // failed compute is not cached (and caches nothing in its place).
         imm_service::metrics::QUERY_RATE.mark();
         let key = QueryKey::from_query(query);
         if let Some(hit) = self.cache.get(&key) {
@@ -583,13 +526,21 @@ impl ShardedEngine {
         match query {
             Query::TopK { k, audience: None } => self.top_k(*k),
             Query::TopK { k, audience: Some(audience) } => self.masked_top_k(*k, audience),
-            Query::Spread { seeds } => self.spread(seeds),
-            Query::Marginal { seeds, candidate } => self.marginal(seeds, *candidate),
+            Query::Spread { seeds } => Ok(QueryResponse::spread_from_tallies(
+                self.coverage(seeds, None)?,
+                self.index.num_sets(),
+                self.index.num_nodes(),
+            )),
+            Query::Marginal { seeds, candidate } => Ok(QueryResponse::marginal_from_tallies(
+                self.coverage(seeds, Some(*candidate))?,
+                self.index.num_sets(),
+                self.index.num_nodes(),
+            )),
         }
     }
 
-    /// Fan a batch of queries across the shared worker pool, preserving
-    /// input order in the returned responses.
+    /// Fan a batch of queries across `threads` tasks, preserving input
+    /// order in the returned responses.
     ///
     /// Panics under unrecoverable worker loss, like
     /// [`execute`](Self::execute); see
@@ -598,31 +549,29 @@ impl ShardedEngine {
         self.try_execute_batch(queries, threads).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fan a batch of queries across the shared worker pool, preserving
-    /// input order. If any query hits a worker death the whole batch
-    /// reports the first [`ScatterError`] — per-query salvage is the
-    /// caller's policy (the serving daemon answers a structured degraded
-    /// error and lets clients retry against the healed pool).
+    /// Fan a batch of queries across `threads` tasks of the shared
+    /// executor, preserving input order. If any query hits a worker death
+    /// the whole batch reports the first such [`ScatterError`] in input
+    /// order — per-query salvage is the caller's policy (the serving
+    /// daemon answers a structured degraded error and lets clients retry
+    /// against the healed pool).
     pub fn try_execute_batch(
         &self,
         queries: &[Query],
         threads: usize,
     ) -> Result<Vec<QueryResponse>, ScatterError> {
-        let fault: Mutex<Option<ScatterError>> = Mutex::new(None);
-        let placeholder =
-            || QueryResponse::spread_from_tallies(0, self.index.num_sets(), self.index.num_nodes());
-        let responses = serve_batch(queries, threads, |query| match self.try_execute(query) {
-            Ok(response) => response,
-            Err(e) => {
-                fault.lock().get_or_insert(e);
-                placeholder()
+        let chunk = queries.len().div_ceil(threads.max(1)).max(1);
+        let mut slots: Vec<Option<Result<QueryResponse, ScatterError>>> = vec![None; queries.len()];
+        rayon::scope(|s| {
+            for (q_chunk, r_chunk) in queries.chunks(chunk).zip(slots.chunks_mut(chunk)) {
+                s.spawn(move |_| {
+                    for (query, slot) in q_chunk.iter().zip(r_chunk) {
+                        *slot = Some(self.try_execute(query));
+                    }
+                });
             }
         });
-        let first_fault = fault.lock().take();
-        match first_fault {
-            None => Ok(responses),
-            Some(e) => Err(e),
-        }
+        slots.into_iter().map(|slot| slot.expect("every slot is filled by its task")).collect()
     }
 
     /// Rebuild the persistent fresh greedy session when a failed retire
@@ -646,109 +595,21 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Run greedy rounds until `min(k, n)` seeds are selected; each round
-    /// scatters exactly one retire request per shard and walks the
-    /// gathered retire stream to keep the merged counts exact. On a pool
-    /// with no workers the whole extension instead runs fused: all cell
-    /// locks are taken once and every round walks one merged postings
-    /// list — identical arithmetic, no per-round envelopes, id buffers,
-    /// or lock traffic, and a round cost independent of the shard count.
+    /// Run greedy rounds until `min(k, n)` seeds are selected. Rounds
+    /// already played are never repeated. Each round scatters one retire
+    /// request per shard (served by the shard's pinned worker, or inline
+    /// when the pool has none) and walks the gathered retire stream to
+    /// keep the merged counts exact. A retire round is NOT idempotent — a
+    /// worker death mid-round loses responses whose alive flags already
+    /// flipped — so a failure marks the session dirty
+    /// ([`DistributedGreedy::needs_reset`]) instead of retrying, and the
+    /// next use rebuilds it from scratch.
     fn extend_to(
         &self,
         state: &mut DistributedGreedy,
         k: usize,
         session: Session,
     ) -> Result<(), ScatterError> {
-        match &self.merged_postings {
-            // Zero workers: the serving thread does everything inline, so
-            // there is no worker to die — the fused path is infallible.
-            Some(postings) => {
-                self.pool
-                    .with_all_cells(|cells| self.extend_fused(state, k, session, cells, postings));
-                Ok(())
-            }
-            None => self.extend_scattered(state, k, session),
-        }
-    }
-
-    /// Zero-worker greedy extension: the caller already holds every cell
-    /// lock, so each round retires straight off the merged postings list,
-    /// flipping alive flags in whichever shard owns each set.
-    fn extend_fused(
-        &self,
-        state: &mut DistributedGreedy,
-        k: usize,
-        session: Session,
-        cells: &mut [&mut ShardCell],
-        postings: &MergedPostings,
-    ) {
-        let n = self.index.num_nodes();
-        let collection = self.index.collection();
-        let segments = self.index.segments();
-        let starts: Vec<usize> = segments.iter().map(|s| s.start()).collect();
-        let ends: Vec<usize> = segments.iter().map(|s| s.start() + s.len()).collect();
-        let mut alives: Vec<&mut Vec<bool>> =
-            cells.iter_mut().map(|cell| cell.alive_mut(session)).collect();
-        // Per-shard retired tallies, reused across rounds so the fused
-        // path records the same per-shard walk lengths the scattered
-        // path gathers from its responses.
-        let mut retired_per_shard = vec![0u64; alives.len()];
-        while state.seeds.len() < k.min(n) {
-            let (best, best_count) = state.pop_argmax();
-            state.seeds.push(best);
-            let covered_so_far = state.covered_after.last().copied().unwrap_or(0);
-            if best_count == 0 {
-                // Zero-gain rounds emit deterministically (smallest id) and
-                // the vertex stays a candidate — single-index behaviour.
-                state.covered_after.push(covered_so_far);
-                state.frontier.push((0, Reverse(best)));
-                continue;
-            }
-            // One walk over the seed's merged postings. Entries ascend
-            // through the shard ranges, so the owning shard only ever
-            // steps forward within a round.
-            crate::metrics::GATHER_ROUNDS.increment();
-            retired_per_shard.iter_mut().for_each(|c| *c = 0);
-            let mut covered = covered_so_far;
-            let mut shard = 0usize;
-            for &gsid in postings.get(best) {
-                let g = gsid as usize;
-                while g >= ends[shard] {
-                    shard += 1;
-                }
-                let slot = &mut alives[shard][g - starts[shard]];
-                if *slot {
-                    *slot = false;
-                    covered += 1;
-                    retired_per_shard[shard] += 1;
-                    collection.get(g).for_each(|v| state.merged[v as usize] -= 1);
-                }
-            }
-            for &retired in &retired_per_shard {
-                crate::metrics::RETIRE_WALK_SETS.record(retired);
-            }
-            debug_assert_eq!(
-                state.merged[best as usize], 0,
-                "retiring every live set containing the seed zeroes its count"
-            );
-            state.covered_after.push(covered);
-            // Re-admit with the post-retirement merged count (zero).
-            state.frontier.push((state.merged[best as usize], Reverse(best)));
-        }
-    }
-
-    /// Worker-pool greedy extension: each round scatters one retire
-    /// request per shard over the pinned queues and walks the gathered
-    /// retire stream. A retire round is NOT idempotent — a worker death
-    /// mid-round loses responses whose alive flags already flipped — so a
-    /// failure marks the session dirty ([`DistributedGreedy::needs_reset`])
-    /// instead of retrying, and the next use rebuilds it from scratch.
-    fn extend_scattered(
-        &self,
-        state: &mut DistributedGreedy,
-        k: usize,
-        session: Session,
-    ) -> Result<(), ScatterError> {
         let n = self.index.num_nodes();
         let collection = self.index.collection();
         while state.seeds.len() < k.min(n) {
@@ -756,8 +617,10 @@ impl ShardedEngine {
             state.seeds.push(best);
             let covered_so_far = state.covered_after.last().copied().unwrap_or(0);
             if best_count == 0 {
-                // Zero-gain rounds emit deterministically (smallest id) and
-                // the vertex stays a candidate — single-index behaviour.
+                // No alive set contains any vertex: later seeds are emitted
+                // deterministically with zero gain (the all-zero argmax is
+                // the smallest vertex id) and the vertex stays a candidate,
+                // exactly like the selection kernels.
                 state.covered_after.push(covered_so_far);
                 state.frontier.push((0, Reverse(best)));
                 continue;
@@ -872,34 +735,12 @@ impl ShardedEngine {
         )
     }
 
-    fn spread(&self, seeds: &[NodeId]) -> Result<QueryResponse, ScatterError> {
+    /// Scatter one [`ShardRequest::Coverage`] walk and sum the per-shard
+    /// counts: exactly the whole-collection tally.
+    fn coverage(&self, seeds: &[NodeId], candidate: Option<NodeId>) -> Result<usize, ScatterError> {
         let seeds = Arc::new(seeds.to_vec());
-        let covered: usize =
-            scatter_idempotent(&self.pool, |_| ShardRequest::Spread { seeds: Arc::clone(&seeds) })?
-                .into_iter()
-                .map(ShardResponse::count)
-                .sum();
-        Ok(QueryResponse::spread_from_tallies(
-            covered,
-            self.index.num_sets(),
-            self.index.num_nodes(),
-        ))
-    }
-
-    fn marginal(&self, seeds: &[NodeId], candidate: NodeId) -> Result<QueryResponse, ScatterError> {
-        let seeds = Arc::new(seeds.to_vec());
-        let gained: usize = scatter_idempotent(&self.pool, |_| ShardRequest::Marginal {
-            seeds: Arc::clone(&seeds),
-            candidate,
-        })?
-        .into_iter()
-        .map(ShardResponse::count)
-        .sum();
-        Ok(QueryResponse::marginal_from_tallies(
-            gained,
-            self.index.num_sets(),
-            self.index.num_nodes(),
-        ))
+        let make = |_| ShardRequest::Coverage { seeds: Arc::clone(&seeds), candidate };
+        Ok(scatter_idempotent(&self.pool, make)?.into_iter().map(ShardResponse::count).sum())
     }
 }
 
@@ -923,25 +764,20 @@ fn scatter_idempotent(
 }
 
 /// Merged per-vertex degrees across all shards: the fresh-session live
-/// counts before any retirement. Also the natural probe for the
-/// load-imbalance gauge — each shard's degree total *is* its postings
-/// work — so the gauge refreshes wherever the merged counts do (engine
-/// construction and delta refresh).
-fn merged_degrees(
-    pool: &PinnedPool<ShardCell>,
-    num_nodes: usize,
-) -> Result<Vec<u64>, ScatterError> {
-    let mut merged = vec![0u64; num_nodes];
-    let mut per_shard = Vec::with_capacity(pool.len());
-    for response in scatter_idempotent(pool, |_| ShardRequest::Degrees)? {
-        let counts = response.counts();
-        per_shard.push(counts.iter().sum::<u64>());
-        for (v, c) in counts.into_iter().enumerate() {
-            merged[v] += c;
+/// counts before any retirement, read straight off the immutable
+/// segments. Also the natural probe for the load-imbalance gauge — each
+/// shard's degree total *is* its postings work — so the gauge refreshes
+/// wherever the merged counts do (engine construction and delta refresh).
+fn merged_degrees(index: &ShardedIndex) -> Vec<u64> {
+    let mut merged = vec![0u64; index.num_nodes()];
+    for segment in index.segments() {
+        for (v, count) in merged.iter_mut().enumerate() {
+            *count += segment.degree(v as NodeId);
         }
     }
+    let per_shard: Vec<u64> = index.segments().iter().map(|s| s.postings_entries()).collect();
     crate::metrics::record_shard_work(&per_shard);
-    Ok(merged)
+    merged
 }
 
 #[cfg(test)]
@@ -971,8 +807,13 @@ mod tests {
         sharded_engine(6, &figure3_sets(), shards)
     }
 
+    /// The one-shard case (a single index) and a split one.
+    const SHARD_COUNTS: [usize; 2] = [1, 3];
+
     #[test]
     fn top_k_follows_the_hand_computed_greedy_trajectory_for_any_shard_count() {
+        // Counts [2,4,2,2,3,1]: seed 1 (4 sets), then 2 (ties 3, smaller id
+        // wins; 2 more sets), then 3 (the last two sets).
         for shards in [1usize, 2, 3, 5, 8] {
             let engine = figure3(shards);
             match engine.execute(&Query::top_k(3)) {
@@ -1014,68 +855,225 @@ mod tests {
 
     #[test]
     fn spread_and_marginal_match_hand_computation() {
-        let engine = figure3(3);
-        match engine.execute(&Query::Spread { seeds: vec![1, 3] }) {
-            QueryResponse::Spread { coverage_fraction, estimate } => {
-                assert!((coverage_fraction - 0.75).abs() < 1e-12, "6 of 8 sets");
-                assert!((estimate - 4.5).abs() < 1e-12);
+        for shards in SHARD_COUNTS {
+            let engine = figure3(shards);
+            // Seeds {1,3}: sets 0,1,3,4 (via 1) + 5,6 (via 3) = 6 of 8.
+            match engine.execute(&Query::Spread { seeds: vec![1, 3] }) {
+                QueryResponse::Spread { coverage_fraction, estimate } => {
+                    assert!((coverage_fraction - 0.75).abs() < 1e-12, "6 of 8 sets");
+                    assert!((estimate - 4.5).abs() < 1e-12);
+                }
+                other => panic!("unexpected {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
+            // Duplicates and order don't change the answer.
+            assert_eq!(
+                engine.execute_uncached(&Query::Spread { seeds: vec![3, 1, 1, 3] }),
+                engine.execute_uncached(&Query::Spread { seeds: vec![1, 3] }),
+            );
+            match engine.execute(&Query::Marginal { seeds: vec![1], candidate: 3 }) {
+                QueryResponse::Marginal { gain_fraction, .. } => {
+                    assert!((gain_fraction - 0.25).abs() < 1e-12, "sets 5 and 6 are new");
+                }
+                other => panic!("unexpected {other:?}"),
+            }
         }
-        match engine.execute(&Query::Marginal { seeds: vec![1], candidate: 3 }) {
-            QueryResponse::Marginal { gain_fraction, .. } => {
-                assert!((gain_fraction - 0.25).abs() < 1e-12, "sets 5 and 6 are new");
+    }
+
+    #[test]
+    fn marginal_is_the_spread_difference() {
+        for shards in SHARD_COUNTS {
+            let engine = figure3(shards);
+            let base = vec![1u32];
+            for candidate in 0..6u32 {
+                let with: Vec<u32> = base.iter().copied().chain([candidate]).collect();
+                let (s_with, s_base) = match (
+                    engine.execute_uncached(&Query::Spread { seeds: with }),
+                    engine.execute_uncached(&Query::Spread { seeds: base.clone() }),
+                ) {
+                    (
+                        QueryResponse::Spread { estimate: a, .. },
+                        QueryResponse::Spread { estimate: b, .. },
+                    ) => (a, b),
+                    other => panic!("unexpected {other:?}"),
+                };
+                match engine.execute_uncached(&Query::Marginal { seeds: base.clone(), candidate }) {
+                    QueryResponse::Marginal { gain, .. } => assert!(
+                        (gain - (s_with - s_base)).abs() < 1e-9,
+                        "{shards} shards, candidate {candidate}"
+                    ),
+                    other => panic!("unexpected {other:?}"),
+                }
             }
-            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn out_of_range_vertices_cover_nothing() {
+        for shards in SHARD_COUNTS {
+            let engine = figure3(shards);
+            match engine.execute(&Query::Spread { seeds: vec![100] }) {
+                QueryResponse::Spread { coverage_fraction, .. } => {
+                    assert_eq!(coverage_fraction, 0.0)
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+            match engine.execute(&Query::Marginal { seeds: vec![1], candidate: 100 }) {
+                QueryResponse::Marginal { gain, .. } => assert_eq!(gain, 0.0),
+                other => panic!("unexpected {other:?}"),
+            }
+            // An out-of-range seed next to an in-range one is simply skipped.
+            assert_eq!(
+                engine.execute_uncached(&Query::Spread { seeds: vec![100, 3] }),
+                engine.execute_uncached(&Query::Spread { seeds: vec![3] }),
+            );
         }
     }
 
     #[test]
     fn growing_the_budget_reuses_the_distributed_prefix() {
-        let engine = figure3(4);
-        let one = engine.execute(&Query::top_k(1));
-        let three = engine.execute(&Query::top_k(3));
-        let fresh = figure3(4).execute(&Query::top_k(3));
-        assert_eq!(three, fresh, "incremental extension must equal a fresh selection");
-        match (one, three) {
-            (QueryResponse::TopK { seeds: s1, .. }, QueryResponse::TopK { seeds: s3, .. }) => {
-                assert_eq!(s1, s3[..1].to_vec(), "smaller budget is a prefix")
+        for shards in [1usize, 4] {
+            let engine = figure3(shards);
+            let one = engine.execute(&Query::top_k(1));
+            let three = engine.execute(&Query::top_k(3));
+            let fresh = figure3(shards).execute(&Query::top_k(3));
+            assert_eq!(three, fresh, "incremental extension must equal a fresh selection");
+            match (one, three) {
+                (
+                    QueryResponse::TopK { seeds: s1, coverage_fraction: f1, .. },
+                    QueryResponse::TopK { seeds: s3, .. },
+                ) => {
+                    assert_eq!(s1, s3[..1].to_vec(), "smaller budget is a prefix");
+                    assert!((f1 - 0.5).abs() < 1e-12, "vertex 1 covers 4 of 8 sets");
+                }
+                other => panic!("unexpected {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn shrinking_the_budget_reads_the_prefix_without_new_rounds() {
+        for shards in SHARD_COUNTS {
+            let engine = figure3(shards);
+            let three = engine.execute(&Query::top_k(3));
+            let played = engine.greedy.lock().seeds.len();
+            let two = engine.execute(&Query::top_k(2));
+            assert_eq!(engine.greedy.lock().seeds.len(), played, "no new rounds");
+            match (three, two) {
+                (
+                    QueryResponse::TopK { seeds: s3, .. },
+                    QueryResponse::TopK { seeds: s2, coverage_fraction, .. },
+                ) => {
+                    assert_eq!(s2, s3[..2].to_vec());
+                    assert!((coverage_fraction - 0.75).abs() < 1e-12, "seeds {{1,2}} cover 6 of 8");
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn budget_beyond_coverage_emits_deterministic_zero_gain_seeds() {
+        // Two sets over 4 vertices; after vertices 0 and 2 everything is
+        // covered and further rounds emit vertex 0 (kernel behaviour).
+        for shards in SHARD_COUNTS {
+            let engine = sharded_engine(4, &[&[0], &[2]], shards);
+            match engine.execute(&Query::top_k(4)) {
+                QueryResponse::TopK { seeds, coverage_fraction, .. } => {
+                    assert_eq!(seeds, vec![0, 2, 0, 0], "{shards} shards");
+                    assert!((coverage_fraction - 1.0).abs() < 1e-12);
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn budget_is_clamped_to_the_vertex_count() {
+        for shards in SHARD_COUNTS {
+            let engine = sharded_engine(3, &[&[0, 1], &[2]], shards);
+            match engine.execute(&Query::top_k(10)) {
+                QueryResponse::TopK { seeds, .. } => assert_eq!(seeds.len(), 3, "{shards} shards"),
+                other => panic!("unexpected {other:?}"),
+            }
         }
     }
 
     #[test]
     fn audience_masks_match_the_hand_computation() {
-        let engine = figure3(3);
-        match engine.execute(&Query::audience_top_k(1, BitSet::from_iter_with_capacity(6, [3]))) {
-            QueryResponse::TopK { seeds, coverage_fraction, .. } => {
-                assert_eq!(seeds, vec![3]);
-                assert!((coverage_fraction - 0.25).abs() < 1e-12, "sets 5 and 6");
+        for shards in SHARD_COUNTS {
+            let engine = figure3(shards);
+            // Audience {5}: only set 4 ({1,4,5}) touches it. Vertices 1, 4, 5
+            // tie at count 1; the smallest id wins, retiring the only
+            // eligible set, and the second round emits the deterministic
+            // zero-gain seed.
+            let audience = BitSet::from_iter_with_capacity(6, [5]);
+            match engine.execute(&Query::audience_top_k(2, audience)) {
+                QueryResponse::TopK { seeds, coverage_fraction, .. } => {
+                    assert_eq!(seeds, vec![1, 0]);
+                    assert!((coverage_fraction - 0.125).abs() < 1e-12, "1 of 8 sets");
+                }
+                other => panic!("unexpected {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
+            // Audience {3}: sets 5 ({3}) and 6 ({0,3}) are eligible; vertex 3
+            // covers both in one round.
+            let audience = BitSet::from_iter_with_capacity(6, [3]);
+            match engine.execute(&Query::audience_top_k(1, audience)) {
+                QueryResponse::TopK { seeds, coverage_fraction, .. } => {
+                    assert_eq!(seeds, vec![3]);
+                    assert!((coverage_fraction - 0.25).abs() < 1e-12, "sets 5 and 6");
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+            // A fresh Top-K right after a masked one: the masked session must
+            // not leak into the persistent fresh state.
+            match engine.execute(&Query::top_k(3)) {
+                QueryResponse::TopK { seeds, .. } => assert_eq!(seeds, vec![1, 2, 3]),
+                other => panic!("unexpected {other:?}"),
+            }
         }
-        // A fresh Top-K right after a masked one: the masked session must
-        // not leak into the persistent fresh state.
-        match engine.execute(&Query::top_k(3)) {
-            QueryResponse::TopK { seeds, .. } => assert_eq!(seeds, vec![1, 2, 3]),
-            other => panic!("unexpected {other:?}"),
+    }
+
+    #[test]
+    fn full_audience_equals_the_unrestricted_selection() {
+        for shards in SHARD_COUNTS {
+            let engine = figure3(shards);
+            let full = BitSet::from_iter_with_capacity(6, 0..6);
+            for k in [1usize, 3, 6] {
+                assert_eq!(
+                    engine.execute_uncached(&Query::audience_top_k(k, full.clone())),
+                    engine.execute_uncached(&Query::top_k(k)),
+                    "{shards} shards, k = {k}"
+                );
+            }
+            // Out-of-range audience vertices select nothing extra (and don't
+            // panic): an audience entirely outside the graph masks every set
+            // out.
+            let outside = BitSet::from_iter_with_capacity(99, [98]);
+            match engine.execute(&Query::audience_top_k(1, outside)) {
+                QueryResponse::TopK { seeds, coverage_fraction, .. } => {
+                    assert_eq!(seeds, vec![0], "zero-gain round emits the smallest vertex");
+                    assert_eq!(coverage_fraction, 0.0);
+                }
+                other => panic!("unexpected {other:?}"),
+            }
         }
     }
 
     #[test]
     fn empty_index_answers_zeroes() {
-        let engine = sharded_engine(5, &[], 3);
-        assert_eq!(
-            engine.execute(&Query::Spread { seeds: vec![1] }),
-            QueryResponse::Spread { coverage_fraction: 0.0, estimate: 0.0 }
-        );
-        match engine.execute(&Query::top_k(2)) {
-            QueryResponse::TopK { seeds, coverage_fraction, .. } => {
-                assert_eq!(seeds.len(), 2, "zero-gain seeds are still emitted");
-                assert_eq!(coverage_fraction, 0.0);
+        for shards in SHARD_COUNTS {
+            let engine = sharded_engine(5, &[], shards);
+            assert_eq!(
+                engine.execute(&Query::Spread { seeds: vec![1] }),
+                QueryResponse::Spread { coverage_fraction: 0.0, estimate: 0.0 }
+            );
+            match engine.execute(&Query::top_k(2)) {
+                QueryResponse::TopK { seeds, coverage_fraction, .. } => {
+                    assert_eq!(seeds.len(), 2, "zero-gain seeds are still emitted");
+                    assert_eq!(coverage_fraction, 0.0);
+                }
+                other => panic!("unexpected {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -1085,8 +1083,10 @@ mod tests {
         let q = Query::Spread { seeds: vec![1, 3] };
         let first = engine.execute(&q);
         assert_eq!(first, engine.execute(&q));
+        // Normalization: a permuted duplicate-carrying variant also hits.
+        assert_eq!(first, engine.execute(&Query::Spread { seeds: vec![3, 1, 3] }));
         let stats = engine.cache_stats();
-        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 1);
     }
 
@@ -1096,6 +1096,7 @@ mod tests {
         let queries: Vec<Query> = (1..=4)
             .map(Query::top_k)
             .chain((0..6).map(|v| Query::Spread { seeds: vec![v] }))
+            .chain((0..6).map(|v| Query::Marginal { seeds: vec![1], candidate: v }))
             .collect();
         let sequential: Vec<QueryResponse> =
             queries.iter().map(|q| figure3(3).execute_uncached(q)).collect();

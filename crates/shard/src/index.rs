@@ -33,12 +33,17 @@ pub struct ShardedIndex {
 
 impl ShardedIndex {
     /// Partition a built [`SketchIndex`] into `shards` near-equal contiguous
-    /// ranges. The collection and provenance move over without cloning; the
-    /// single index's global postings are dropped in favour of the per-shard
-    /// ones.
+    /// ranges. The collection and provenance move over without cloning. One
+    /// shard adopts the index's postings as they are (heap-built or mapped
+    /// from a snapshot) — the single index *is* the one-shard case; more
+    /// shards drop them in favour of per-shard builds.
     pub fn from_index(index: SketchIndex, shards: usize) -> Result<Self, IndexError> {
-        let (collection, meta, provenance) = index.into_parts();
-        Self::from_parts(collection, meta, provenance, shards)
+        let (collection, meta, provenance, postings) = index.into_parts();
+        if shards > 1 {
+            return Self::from_parts(collection, meta, provenance, shards);
+        }
+        let segment = ShardSegment::from_postings(0, collection.len(), postings);
+        Ok(ShardedIndex { collection, meta, provenance, segments: vec![Arc::new(segment)] })
     }
 
     /// Partition raw index components into `shards` near-equal contiguous
@@ -349,6 +354,19 @@ mod tests {
         let single = SketchIndex::from_collection(c, IndexMeta::default()).unwrap();
         let sharded = ShardedIndex::from_index(single.clone(), 3).unwrap();
         assert_eq!(sharded.num_sets(), 4);
+        assert_eq!(sharded.into_index().unwrap(), single);
+    }
+
+    #[test]
+    fn one_shard_adopts_the_index_postings_unchanged() {
+        let c = collection(6, &[&[0, 1], &[1], &[2, 4], &[1, 4]]);
+        let single = SketchIndex::from_collection(c.clone(), IndexMeta::default()).unwrap();
+        let sharded = ShardedIndex::from_index(single.clone(), 1).unwrap();
+        assert_eq!(sharded, ShardedIndex::from_parts(c, IndexMeta::default(), None, 1).unwrap());
+        let segment = &sharded.segments()[0];
+        for v in 0..6 {
+            assert_eq!(segment.postings(v), single.postings(v), "vertex {v}");
+        }
         assert_eq!(sharded.into_index().unwrap(), single);
     }
 

@@ -8,9 +8,8 @@
 //! zeros included, so a skewed distribution is visible against the
 //! round count), a gather-round counter, and a load-imbalance gauge
 //! (max/mean per-shard postings work, recomputed at build and refresh).
-//! Query latency and cache metrics are *not* duplicated here: the
-//! sharded engine serves through the same `serve_cached` wrapper as the
-//! single-index engine and shares its `service_` metrics.
+//! Query latency, cache and CELF metrics are *not* duplicated here: the
+//! engine records them in the `service_` family.
 
 use std::sync::Once;
 
@@ -24,7 +23,7 @@ pub static RETIRE_WALK_SETS: Histogram = Histogram::new(
 );
 
 /// Scatter/gather rounds issued by the sharded engine (CELF retire
-/// rounds in both the worker-pool and fused paths).
+/// rounds, whether served by pinned workers or inline).
 pub static GATHER_ROUNDS: Counter = Counter::new(
     "shard_gather_rounds",
     "CELF scatter/gather retire rounds issued by the sharded engine",

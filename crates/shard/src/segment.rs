@@ -11,7 +11,7 @@
 //! over one shard never touches another shard's structures.
 
 use imm_rrr::{CollectionSlice, NodeId, RrrCollection};
-use imm_service::IndexError;
+use imm_service::{IndexError, PostingsStore};
 
 /// Identifier of one RRR set *inside its shard* (`0..segment.len()`).
 pub type LocalSetId = u32;
@@ -23,45 +23,25 @@ pub struct ShardSegment {
     start: usize,
     /// Number of sets in the range.
     len: usize,
-    /// CSR-style offsets into `postings`, one slot per vertex (+1).
-    postings_offsets: Vec<usize>,
-    /// Local ids of the sets containing each vertex, grouped by vertex.
-    postings: Vec<LocalSetId>,
+    /// Local ids of the sets containing each vertex — the same store a
+    /// [`imm_service::SketchIndex`] keeps, heap-built or mapped.
+    postings: PostingsStore,
 }
 
 impl ShardSegment {
-    /// Build the segment over `collection.slice(start, len)`: one streaming
-    /// pass for the occurrence counts, one for the CSR postings fill —
-    /// the per-shard mirror of `SketchIndex::from_collection`.
+    /// Build the segment over `collection.slice(start, len)` with the
+    /// shared postings builder (one streaming pass for the occurrence
+    /// counts, one for the CSR fill).
     pub fn build(collection: &RrrCollection, start: usize, len: usize) -> Result<Self, IndexError> {
-        let n = collection.num_nodes();
-        let slice = collection.slice(start, len);
-        let mut offsets = vec![0usize; n + 1];
-        let mut bad: Option<NodeId> = None;
-        for set in slice.iter() {
-            set.for_each(|v| {
-                if (v as usize) < n {
-                    offsets[v as usize + 1] += 1;
-                } else if bad.is_none() {
-                    bad = Some(v);
-                }
-            });
-        }
-        if let Some(vertex) = bad {
-            return Err(IndexError::VertexOutOfRange { vertex, num_nodes: n });
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets.clone();
-        let mut postings = vec![0 as LocalSetId; offsets[n]];
-        for (local, set) in slice.iter().enumerate() {
-            set.for_each(|v| {
-                postings[cursor[v as usize]] = local as LocalSetId;
-                cursor[v as usize] += 1;
-            });
-        }
-        Ok(ShardSegment { start, len, postings_offsets: offsets, postings })
+        let postings = PostingsStore::build(collection.slice(start, len))?;
+        Ok(ShardSegment { start, len, postings })
+    }
+
+    /// Adopt an existing postings store over the range `[start, start +
+    /// len)` — a single index becoming one shard keeps its heap or mapped
+    /// postings instead of rebuilding them.
+    pub(crate) fn from_postings(start: usize, len: usize, postings: PostingsStore) -> Self {
+        ShardSegment { start, len, postings }
     }
 
     /// Global id of the shard's first set.
@@ -91,14 +71,14 @@ impl ShardSegment {
     /// Local ids of the shard's sets containing `v`, in increasing order.
     #[inline]
     pub fn postings(&self, v: NodeId) -> &[LocalSetId] {
-        &self.postings[self.postings_offsets[v as usize]..self.postings_offsets[v as usize + 1]]
+        self.postings.get(v)
     }
 
     /// How many of the shard's sets contain `v` — the shard's contribution
     /// to the vertex's global occurrence count.
     #[inline]
     pub fn degree(&self, v: NodeId) -> u64 {
-        (self.postings_offsets[v as usize + 1] - self.postings_offsets[v as usize]) as u64
+        self.postings.degree(v)
     }
 
     /// Total postings entries of the shard (Σ over vertices of
@@ -106,7 +86,14 @@ impl ShardSegment {
     /// cost model.
     #[inline]
     pub fn postings_entries(&self) -> u64 {
-        self.postings.len() as u64
+        self.postings.num_postings() as u64
+    }
+
+    /// Whether the postings are borrowed from a shared (e.g. memory-mapped)
+    /// buffer rather than heap-built.
+    #[inline]
+    pub fn is_postings_shared(&self) -> bool {
+        self.postings.is_shared()
     }
 
     /// Borrow the shard's sets out of the shared collection (zero-copy).
@@ -118,8 +105,7 @@ impl ShardSegment {
     /// Heap bytes of the segment's own structures (the shared arena is
     /// accounted by the collection, not per shard).
     pub fn memory_bytes(&self) -> usize {
-        self.postings_offsets.len() * std::mem::size_of::<usize>()
-            + self.postings.len() * std::mem::size_of::<LocalSetId>()
+        self.postings.memory_bytes()
     }
 }
 

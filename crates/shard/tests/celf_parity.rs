@@ -1,14 +1,16 @@
 //! The CELF acceptance property: the engine's lazy-greedy (CELF) Top-K must
 //! be **byte-identical** to the naive full-argmax greedy — represented by
 //! both batch selection kernels, which rescan counters every round — for
-//! arbitrary sampled collections, across thread counts and both diffusion
-//! models. Lazy evaluation must be invisible: same seeds, same order, same
-//! coverage, including tie rounds and zero-gain tail rounds.
+//! arbitrary sampled collections, across thread counts, shard counts (one
+//! shard being the single index) and both diffusion models. Lazy
+//! evaluation must be invisible: same seeds, same order, same coverage,
+//! including tie rounds and zero-gain tail rounds.
 
 use efficient_imm::{select_seeds, Algorithm, ExecutionConfig};
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
-use imm_service::{Query, QueryEngine, QueryResponse, SketchIndex};
+use imm_service::{Query, QueryResponse, SketchIndex};
+use imm_shard::{ShardedEngine, ShardedIndex};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -41,7 +43,13 @@ fn sampled_collection(
     (graph, out.sets)
 }
 
-fn engine_top_k(engine: &QueryEngine, k: usize) -> (Vec<u32>, f64) {
+const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+
+fn engine(index: SketchIndex, shards: usize) -> ShardedEngine {
+    ShardedEngine::new(Arc::new(ShardedIndex::from_index(index, shards).unwrap()))
+}
+
+fn engine_top_k(engine: &ShardedEngine, k: usize) -> (Vec<u32>, f64) {
     match engine.execute(&Query::top_k(k)) {
         QueryResponse::TopK { seeds, coverage_fraction, .. } => (seeds, coverage_fraction),
         other => panic!("unexpected {other:?}"),
@@ -51,23 +59,27 @@ fn engine_top_k(engine: &QueryEngine, k: usize) -> (Vec<u32>, f64) {
 fn assert_celf_matches_naive(model: DiffusionModel, graph_seed: u64, rng_seed: u64, k: usize) {
     let (graph, collection) = sampled_collection(model, graph_seed, rng_seed, 120, 150);
     let index = SketchIndex::build(&graph, collection.clone(), "celf-parity").unwrap();
-    let engine = QueryEngine::new(Arc::new(index));
+    let engines: Vec<ShardedEngine> =
+        SHARD_COUNTS.iter().map(|&shards| engine(index.clone(), shards)).collect();
     // Budgets asked out of order exercise the shared prefix as well.
     for budget in [k, k / 2 + 1, k] {
-        let (seeds, coverage) = engine_top_k(&engine, budget);
-        for algorithm in [Algorithm::Efficient, Algorithm::Ripples] {
-            for threads in [1usize, 2, 4] {
+        let naive: Vec<_> = [Algorithm::Efficient, Algorithm::Ripples]
+            .into_iter()
+            .flat_map(|algorithm| [1usize, 2, 4].map(|threads| (algorithm, threads)))
+            .map(|(algorithm, threads)| {
                 let exec = ExecutionConfig::new(algorithm, threads);
                 let pool = exec.build_pool();
-                let naive = select_seeds(&collection, budget, &exec, &pool, None);
-                assert_eq!(
-                    seeds, naive.seeds,
-                    "{model:?} {algorithm:?} threads={threads} budget={budget}"
+                (algorithm, threads, select_seeds(&collection, budget, &exec, &pool, None))
+            })
+            .collect();
+        for (engine, shards) in engines.iter().zip(SHARD_COUNTS) {
+            let (seeds, coverage) = engine_top_k(engine, budget);
+            for (algorithm, threads, naive) in &naive {
+                let context = format!(
+                    "{model:?} {algorithm:?} threads={threads} shards={shards} budget={budget}"
                 );
-                assert!(
-                    (coverage - naive.coverage_fraction).abs() < 1e-12,
-                    "{model:?} {algorithm:?} threads={threads} budget={budget}"
-                );
+                assert_eq!(seeds, naive.seeds, "{context}");
+                assert!((coverage - naive.coverage_fraction).abs() < 1e-12, "{context}");
             }
         }
     }
@@ -119,13 +131,14 @@ fn celf_matches_naive_on_degenerate_collections() {
         let index =
             SketchIndex::from_collection(collection.clone(), imm_service::IndexMeta::default())
                 .unwrap();
-        let engine = QueryEngine::new(Arc::new(index));
         let k = n; // push past coverage exhaustion
-        let (seeds, coverage) = engine_top_k(&engine, k);
         let exec = ExecutionConfig::new(Algorithm::Efficient, 1);
         let pool = exec.build_pool();
         let naive = select_seeds(&collection, k, &exec, &pool, None);
-        assert_eq!(seeds, naive.seeds, "n={n} sets={sets:?}");
-        assert!((coverage - naive.coverage_fraction).abs() < 1e-12);
+        for shards in SHARD_COUNTS {
+            let (seeds, coverage) = engine_top_k(&engine(index.clone(), shards), k);
+            assert_eq!(seeds, naive.seeds, "n={n} sets={sets:?} shards={shards}");
+            assert!((coverage - naive.coverage_fraction).abs() < 1e-12);
+        }
     }
 }

@@ -1,8 +1,10 @@
 //! The correctness anchor of incremental sketch refresh: after any sequence
-//! of edge insertions / deletions / reweights applied through `apply_delta`,
-//! the refreshed index must be **byte-identical** — same RRR sets, same
-//! postings, same Top-K seeds, same spread estimates — to a from-scratch
-//! `SketchIndex::sample` over the mutated graph with the same RNG seed and θ.
+//! of edge insertions / deletions / reweights applied through the query
+//! engine's `apply_delta` (at one shard — the single index — and split
+//! across several), the refreshed index must be **byte-identical** — same
+//! RRR sets, same postings, same Top-K seeds, same spread estimates — to a
+//! from-scratch `SketchIndex::sample` over the mutated graph with the same
+//! RNG seed and θ.
 //!
 //! The properties drive random delta sequences against random graphs under
 //! all three weight regimes (per-edge-frozen constant weights, the
@@ -11,13 +13,28 @@
 
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta, NodeId};
-use imm_service::{Query, QueryEngine, QueryResponse, SampleSpec, SketchIndex};
+use imm_service::{Query, QueryResponse, SampleSpec, SketchIndex};
+use imm_shard::{ShardedEngine, ShardedIndex};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 const THETA: usize = 200;
+const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+
+fn engine(index: SketchIndex, shards: usize) -> ShardedEngine {
+    ShardedEngine::new(Arc::new(ShardedIndex::from_index(index, shards).unwrap()))
+}
+
+/// Global ids of the sets containing `v`, gathered across the shards.
+fn global_postings(index: &ShardedIndex, v: NodeId) -> Vec<u32> {
+    index
+        .segments()
+        .iter()
+        .flat_map(|seg| seg.postings(v).iter().map(|&lsid| seg.start() as u32 + lsid))
+        .collect()
+}
 
 fn base_graph(graph_seed: u64, n: usize) -> CsrGraph {
     let mut rng = SmallRng::seed_from_u64(graph_seed);
@@ -64,23 +81,23 @@ fn random_delta(graph: &CsrGraph, ops: usize, op_seed: u64) -> GraphDelta {
     delta
 }
 
-fn top_k(engine: &QueryEngine, k: usize) -> (Vec<NodeId>, f64) {
+fn top_k(engine: &ShardedEngine, k: usize) -> (Vec<NodeId>, f64) {
     match engine.execute(&Query::top_k(k)) {
         QueryResponse::TopK { seeds, estimated_influence, .. } => (seeds, estimated_influence),
         other => panic!("unexpected {other:?}"),
     }
 }
 
-fn spread(engine: &QueryEngine, seeds: Vec<NodeId>) -> f64 {
+fn spread(engine: &ShardedEngine, seeds: Vec<NodeId>) -> f64 {
     match engine.execute(&Query::Spread { seeds }) {
         QueryResponse::Spread { estimate, .. } => estimate,
         other => panic!("unexpected {other:?}"),
     }
 }
 
-/// Apply `batches` random deltas through the engine, checking after every
-/// batch that the refreshed index is indistinguishable from a from-scratch
-/// sample of the mutated graph.
+/// Apply `batches` random deltas through the engine at every tracked shard
+/// count, checking after every batch that the refreshed index is
+/// indistinguishable from a from-scratch sample of the mutated graph.
 fn assert_differential(
     graph: CsrGraph,
     weights: EdgeWeights,
@@ -91,48 +108,66 @@ fn assert_differential(
     let spec = SampleSpec::new(model, rng_seed);
     let index = SketchIndex::sample(&graph, &weights, spec, THETA, 2, "differential")
         .expect("initial sample");
-    let mut engine = QueryEngine::new(Arc::new(index));
+    let mut engines: Vec<(usize, ShardedEngine)> =
+        SHARD_COUNTS.iter().map(|&shards| (shards, engine(index.clone(), shards))).collect();
     let (mut graph, mut weights) = (graph, weights);
 
     for (round, &op_seed) in batch_seeds.iter().enumerate() {
         let ops = 1 + (op_seed % 5) as usize;
         let delta = random_delta(&graph, ops, op_seed);
-        let (next_graph, next_weights, stats) = engine
-            .apply_delta(&graph, &weights, &delta)
-            .unwrap_or_else(|e| panic!("round {round}: {e}"));
-        assert_eq!(stats.total_sets, THETA);
-        graph = next_graph;
-        weights = next_weights;
+        let mut next = None;
+        for (shards, engine) in &mut engines {
+            let (next_graph, next_weights, stats) = engine
+                .apply_delta(&graph, &weights, &delta)
+                .unwrap_or_else(|e| panic!("round {round}, {shards} shards: {e}"));
+            assert_eq!(stats.total_sets, THETA);
+            next = Some((next_graph, next_weights));
+        }
+        (graph, weights) = next.expect("at least one engine");
 
         let rebuilt = SketchIndex::sample(&graph, &weights, spec, THETA, 2, "differential")
             .expect("rebuild sample");
-        let refreshed = engine.index();
-        // Structural identity: the kept + resampled sets and their
-        // provenance must match what the rebuild sampled from scratch.
-        assert_eq!(refreshed.sets(), rebuilt.sets(), "round {round}: sets diverged");
-        assert_eq!(
-            refreshed.provenance().unwrap().sets,
-            rebuilt.provenance().unwrap().sets,
-            "round {round}: provenance diverged"
-        );
-        for v in 0..graph.num_nodes() as NodeId {
-            assert_eq!(refreshed.postings(v), rebuilt.postings(v), "round {round}, vertex {v}");
-        }
-        // Served-answer identity: Top-K seeds and spread estimates.
-        let rebuilt_engine = QueryEngine::new(Arc::new(rebuilt));
-        for k in [1usize, 3, 7] {
-            assert_eq!(top_k(&engine, k), top_k(&rebuilt_engine, k), "round {round}, k={k}");
-        }
-        let mut probe = SmallRng::seed_from_u64(op_seed ^ 0xABCD);
-        for _ in 0..3 {
-            let seeds: Vec<NodeId> =
-                (0..2).map(|_| probe.gen_range(0..graph.num_nodes() as u32)).collect();
-            let expected = spread(&rebuilt_engine, seeds.clone());
-            let got = spread(&engine, seeds.clone());
-            assert!(
-                (got - expected).abs() < 1e-12,
-                "round {round}: spread({seeds:?}) {got} != {expected}"
+        for (shards, engine) in &engines {
+            let refreshed = engine.index();
+            // Structural identity: the kept + resampled sets and their
+            // provenance must match what the rebuild sampled from scratch.
+            assert_eq!(
+                refreshed.collection(),
+                rebuilt.sets(),
+                "round {round}, {shards} shards: sets diverged"
             );
+            assert_eq!(
+                refreshed.provenance().unwrap().sets,
+                rebuilt.provenance().unwrap().sets,
+                "round {round}, {shards} shards: provenance diverged"
+            );
+            for v in 0..graph.num_nodes() as NodeId {
+                assert_eq!(
+                    global_postings(refreshed, v),
+                    rebuilt.postings(v),
+                    "round {round}, {shards} shards, vertex {v}"
+                );
+            }
+            // Served-answer identity: Top-K seeds and spread estimates.
+            let rebuilt_engine = self::engine(rebuilt.clone(), *shards);
+            for k in [1usize, 3, 7] {
+                assert_eq!(
+                    top_k(engine, k),
+                    top_k(&rebuilt_engine, k),
+                    "round {round}, {shards} shards, k={k}"
+                );
+            }
+            let mut probe = SmallRng::seed_from_u64(op_seed ^ 0xABCD);
+            for _ in 0..3 {
+                let seeds: Vec<NodeId> =
+                    (0..2).map(|_| probe.gen_range(0..graph.num_nodes() as u32)).collect();
+                let expected = spread(&rebuilt_engine, seeds.clone());
+                let got = spread(engine, seeds.clone());
+                assert!(
+                    (got - expected).abs() < 1e-12,
+                    "round {round}, {shards} shards: spread({seeds:?}) {got} != {expected}"
+                );
+            }
         }
     }
 }
@@ -204,16 +239,6 @@ fn cached_top_k_is_invalidated_by_apply_delta() {
     let weights = EdgeWeights::constant(&graph, 1.0);
     let spec = SampleSpec::new(DiffusionModel::IndependentCascade, 3);
     let index = SketchIndex::sample(&graph, &weights, spec, 128, 2, "staleness").unwrap();
-    let mut engine = QueryEngine::new(Arc::new(index));
-
-    let query = Query::top_k(1);
-    let before = engine.execute(&query);
-    assert_eq!(engine.execute(&query), before, "second ask is served from the cache");
-    assert_eq!(engine.cache_stats().hits, 1);
-    match &before {
-        QueryResponse::TopK { seeds, .. } => assert_eq!(seeds, &vec![0]),
-        other => panic!("unexpected {other:?}"),
-    }
 
     // Rewire the star: vertex 1 becomes the hub, vertex 0 is disconnected.
     let mut delta = GraphDelta::new();
@@ -223,17 +248,30 @@ fn cached_top_k_is_invalidated_by_apply_delta() {
             delta = delta.insert(1, dst, 1.0);
         }
     }
-    let (graph2, weights2, _) = engine.apply_delta(&graph, &weights, &delta).unwrap();
 
-    let after = engine.execute(&query);
-    assert_ne!(after, before, "the cached pre-delta response must not survive apply_delta");
-    match &after {
-        QueryResponse::TopK { seeds, .. } => assert_eq!(seeds, &vec![1], "new hub wins"),
-        other => panic!("unexpected {other:?}"),
+    for shards in SHARD_COUNTS {
+        let mut engine = engine(index.clone(), shards);
+        let query = Query::top_k(1);
+        let before = engine.execute(&query);
+        assert_eq!(engine.execute(&query), before, "second ask is served from the cache");
+        assert_eq!(engine.cache_stats().hits, 1);
+        match &before {
+            QueryResponse::TopK { seeds, .. } => assert_eq!(seeds, &vec![0]),
+            other => panic!("unexpected {other:?}"),
+        }
+
+        let (graph2, weights2, _) = engine.apply_delta(&graph, &weights, &delta).unwrap();
+
+        let after = engine.execute(&query);
+        assert_ne!(after, before, "the cached pre-delta response must not survive apply_delta");
+        match &after {
+            QueryResponse::TopK { seeds, .. } => assert_eq!(seeds, &vec![1], "new hub wins"),
+            other => panic!("unexpected {other:?}"),
+        }
+        // And the post-delta answer equals a fresh engine over a fresh rebuild.
+        let rebuilt = SketchIndex::sample(&graph2, &weights2, spec, 128, 2, "staleness").unwrap();
+        assert_eq!(after, self::engine(rebuilt, shards).execute(&query), "{shards} shards");
     }
-    // And the post-delta answer equals a fresh engine over a fresh rebuild.
-    let rebuilt = SketchIndex::sample(&graph2, &weights2, spec, 128, 2, "staleness").unwrap();
-    assert_eq!(after, QueryEngine::new(Arc::new(rebuilt)).execute(&query));
 }
 
 /// The ISSUE acceptance bound: on a 10k-vertex graph with 1% edge churn, the
@@ -277,9 +315,11 @@ fn one_percent_churn_resamples_under_a_quarter_of_the_index() {
 
     let rebuilt = SketchIndex::sample(&graph2, &weights2, spec, theta, 4, "churn").unwrap();
     assert_eq!(index.sets(), rebuilt.sets(), "refresh must equal the full rebuild");
-    let incremental = QueryEngine::new(Arc::new(index));
-    let fresh = QueryEngine::new(Arc::new(rebuilt));
-    for k in [1usize, 10, 50] {
-        assert_eq!(top_k(&incremental, k), top_k(&fresh, k), "k={k}");
+    for shards in SHARD_COUNTS {
+        let incremental = engine(index.clone(), shards);
+        let fresh = engine(rebuilt.clone(), shards);
+        for k in [1usize, 10, 50] {
+            assert_eq!(top_k(&incremental, k), top_k(&fresh, k), "{shards} shards, k={k}");
+        }
     }
 }

@@ -1,15 +1,18 @@
 //! NUMA placement end-to-end: a sharded engine built against a synthetic
-//! multi-node topology must serve byte-identically to the single-index
-//! engine (placement is advisory, never semantic) while the `numa_*`
+//! multi-node topology must serve byte-identically to the batch references
+//! (placement is advisory, never semantic) while the `numa_*`
 //! counters record what the placement layer did — worker pinnings and
 //! local/remote serving on multi-node machines, the explicit fallback on
 //! single-node ones.
 
+mod common;
+
+use common::Reference;
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
 use imm_numa::{metrics as numa_metrics, Topology};
 use imm_rrr::NodeId;
-use imm_service::{Query, QueryEngine, SampleSpec, SketchIndex};
+use imm_service::{Query, SampleSpec, SketchIndex};
 use imm_shard::{ShardedEngine, ShardedIndex, WakeMode};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -35,8 +38,9 @@ fn battery() -> Vec<Query> {
 #[test]
 fn multi_node_placement_keeps_parity_and_counts_accesses() {
     let index = sample_index(0xD0C);
-    let single = QueryEngine::new(Arc::new(index.clone()));
-    let sharded = Arc::new(ShardedIndex::from_index(index, 4).unwrap());
+    let reference = Reference::new(index.sets());
+    let expected: Vec<_> = battery().iter().map(|q| reference.answer(q)).collect();
+    let sharded = Arc::new(ShardedIndex::from_index(index.clone(), 4).unwrap());
 
     let local_before = numa_metrics::LOCAL_ACCESSES.value();
     let remote_before = numa_metrics::REMOTE_ACCESSES.value();
@@ -52,8 +56,8 @@ fn multi_node_placement_keeps_parity_and_counts_accesses() {
         Topology::new(2, 4),
     );
     assert_eq!(engine.num_workers(), 2);
-    for query in &battery() {
-        assert_eq!(engine.execute_uncached(query), single.execute_uncached(query));
+    for (query, expected) in battery().iter().zip(&expected) {
+        assert_eq!(&engine.execute_uncached(query), expected);
     }
 
     if imm_obs::recording_enabled() {
@@ -68,8 +72,8 @@ fn multi_node_placement_keeps_parity_and_counts_accesses() {
         assert_eq!(numa_metrics::WORKER_PINNINGS.value(), pins_before + 2);
         let local = numa_metrics::LOCAL_ACCESSES.value() - local_before;
         let remote = numa_metrics::REMOTE_ACCESSES.value() - remote_before;
-        // Every scattered request (the construction degree round plus the
-        // battery) lands in exactly one bucket; which one is a scheduling
+        // Every scattered request of the battery lands in exactly one
+        // bucket; which one is a scheduling
         // race, but the total cannot be zero.
         assert!(local + remote > 0, "placed serving must be counted");
         // The gauge is shared across tests in this binary (another test
@@ -81,8 +85,9 @@ fn multi_node_placement_keeps_parity_and_counts_accesses() {
 #[test]
 fn single_node_topologies_serve_identically_and_count_the_fallback() {
     let index = sample_index(0xFA11);
-    let single = QueryEngine::new(Arc::new(index.clone()));
-    let sharded = Arc::new(ShardedIndex::from_index(index, 3).unwrap());
+    let reference = Reference::new(index.sets());
+    let expected: Vec<_> = battery().iter().map(|q| reference.answer(q)).collect();
+    let sharded = Arc::new(ShardedIndex::from_index(index.clone(), 3).unwrap());
 
     let fallbacks_before = numa_metrics::SINGLE_NODE_FALLBACKS.value();
     let engine = ShardedEngine::with_runtime_on(
@@ -92,8 +97,8 @@ fn single_node_topologies_serve_identically_and_count_the_fallback() {
         WakeMode::Always,
         Topology::uma(4),
     );
-    for query in &battery() {
-        assert_eq!(engine.execute_uncached(query), single.execute_uncached(query));
+    for (query, expected) in battery().iter().zip(&expected) {
+        assert_eq!(&engine.execute_uncached(query), expected);
     }
     if imm_obs::recording_enabled() {
         assert_eq!(numa_metrics::SINGLE_NODE_FALLBACKS.value(), fallbacks_before + 1);

@@ -1,12 +1,14 @@
 //! The acceptance property of the serving subsystem: a `SketchIndex` built
 //! once answers Top-K queries for multiple budgets with **byte-identical**
 //! seeds to a fresh `run_imm`/`select_seeds` selection over the same
-//! collection — without resampling anything.
+//! collection — without resampling anything — whether it is served as one
+//! shard (the single index) or split into several.
 
 use efficient_imm::{run_imm, select_seeds, Algorithm, ExecutionConfig, ImmParams};
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
-use imm_service::{Query, QueryEngine, QueryResponse, SketchIndex};
+use imm_service::{Query, QueryResponse, SketchIndex};
+use imm_shard::{ShardedEngine, ShardedIndex};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -25,7 +27,20 @@ fn sampled_run(
     (graph, weights, result)
 }
 
-fn top_k(engine: &QueryEngine, k: usize) -> (Vec<u32>, f64) {
+const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// The index served at every tracked shard count.
+fn engines(index: &SketchIndex) -> Vec<(usize, ShardedEngine)> {
+    SHARD_COUNTS
+        .iter()
+        .map(|&shards| {
+            let sharded = ShardedIndex::from_index(index.clone(), shards).unwrap();
+            (shards, ShardedEngine::new(Arc::new(sharded)))
+        })
+        .collect()
+}
+
+fn top_k(engine: &ShardedEngine, k: usize) -> (Vec<u32>, f64) {
     match engine.execute(&Query::top_k(k)) {
         QueryResponse::TopK { seeds, coverage_fraction, .. } => (seeds, coverage_fraction),
         other => panic!("unexpected {other:?}"),
@@ -38,10 +53,11 @@ fn served_top_k_is_byte_identical_to_the_batch_run() {
     let (graph, _weights, result) = sampled_run(400, 3, k);
     let collection = result.rrr_sets.clone().expect("retained");
     let index = SketchIndex::build(&graph, collection, "parity").unwrap();
-    let engine = QueryEngine::new(Arc::new(index));
-    let (seeds, coverage) = top_k(&engine, k);
-    assert_eq!(seeds, result.seeds, "index greedy must replicate the run_imm selection");
-    assert!((coverage - result.coverage_fraction).abs() < 1e-12);
+    for (shards, engine) in engines(&index) {
+        let (seeds, coverage) = top_k(&engine, k);
+        assert_eq!(seeds, result.seeds, "{shards} shards must replicate the run_imm selection");
+        assert!((coverage - result.coverage_fraction).abs() < 1e-12, "{shards} shards");
+    }
 }
 
 #[test]
@@ -49,23 +65,24 @@ fn multiple_budgets_match_fresh_selections_and_share_the_prefix() {
     let (graph, _weights, result) = sampled_run(350, 5, 10);
     let collection = result.rrr_sets.expect("retained");
     let index = SketchIndex::build(&graph, collection.clone(), "parity-multi-budget").unwrap();
-    let engine = QueryEngine::new(Arc::new(index));
 
     // Ask budgets out of order (3, 8, 5, 10): every answer must equal a
     // fresh selection-kernel pass over the same collection at that budget,
     // and smaller budgets must be prefixes of larger ones.
     let exec = ExecutionConfig::new(Algorithm::Efficient, 2);
     let pool = exec.build_pool();
-    let mut largest: Vec<u32> = Vec::new();
-    for k in [3usize, 8, 5, 10] {
-        let (seeds, coverage) = top_k(&engine, k);
-        let fresh = select_seeds(&collection, k, &exec, &pool, None);
-        assert_eq!(seeds, fresh.seeds, "budget {k}");
-        assert!((coverage - fresh.coverage_fraction).abs() < 1e-12, "budget {k}");
-        if seeds.len() > largest.len() {
-            largest = seeds;
-        } else {
-            assert_eq!(seeds.as_slice(), &largest[..seeds.len()], "budget {k} prefix");
+    for (shards, engine) in engines(&index) {
+        let mut largest: Vec<u32> = Vec::new();
+        for k in [3usize, 8, 5, 10] {
+            let (seeds, coverage) = top_k(&engine, k);
+            let fresh = select_seeds(&collection, k, &exec, &pool, None);
+            assert_eq!(seeds, fresh.seeds, "{shards} shards, budget {k}");
+            assert!((coverage - fresh.coverage_fraction).abs() < 1e-12, "budget {k}");
+            if seeds.len() > largest.len() {
+                largest = seeds;
+            } else {
+                assert_eq!(seeds.as_slice(), &largest[..seeds.len()], "budget {k} prefix");
+            }
         }
     }
 }
@@ -75,13 +92,14 @@ fn both_selection_engines_agree_with_the_served_answer() {
     let (graph, _weights, result) = sampled_run(300, 9, 6);
     let collection = result.rrr_sets.expect("retained");
     let index = SketchIndex::build(&graph, collection.clone(), "parity-engines").unwrap();
-    let engine = QueryEngine::new(Arc::new(index));
-    let (seeds, _) = top_k(&engine, 6);
-    for algorithm in [Algorithm::Ripples, Algorithm::Efficient] {
-        let exec = ExecutionConfig::new(algorithm, 3);
-        let pool = exec.build_pool();
-        let fresh = select_seeds(&collection, 6, &exec, &pool, None);
-        assert_eq!(seeds, fresh.seeds, "{algorithm:?}");
+    for (shards, engine) in engines(&index) {
+        let (seeds, _) = top_k(&engine, 6);
+        for algorithm in [Algorithm::Ripples, Algorithm::Efficient] {
+            let exec = ExecutionConfig::new(algorithm, 3);
+            let pool = exec.build_pool();
+            let fresh = select_seeds(&collection, 6, &exec, &pool, None);
+            assert_eq!(seeds, fresh.seeds, "{shards} shards, {algorithm:?}");
+        }
     }
 }
 
@@ -90,26 +108,28 @@ fn spread_and_marginal_match_the_collection_estimators() {
     let (graph, _weights, result) = sampled_run(300, 11, 5);
     let collection = result.rrr_sets.expect("retained");
     let index = SketchIndex::build(&graph, collection.clone(), "parity-estimates").unwrap();
-    let engine = QueryEngine::new(Arc::new(index));
 
     let seeds = result.seeds;
-    match engine.execute(&Query::Spread { seeds: seeds.clone() }) {
-        QueryResponse::Spread { estimate, coverage_fraction } => {
-            assert!((estimate - collection.estimate_influence(&seeds)).abs() < 1e-9);
-            assert!((coverage_fraction - collection.coverage_fraction(&seeds)).abs() < 1e-12);
-        }
-        other => panic!("unexpected {other:?}"),
-    }
-
-    let base = &seeds[..2];
-    for candidate in [seeds[2], seeds[0], 0u32] {
-        let with: Vec<u32> = base.iter().copied().chain([candidate]).collect();
-        let expected = collection.estimate_influence(&with) - collection.estimate_influence(base);
-        match engine.execute(&Query::Marginal { seeds: base.to_vec(), candidate }) {
-            QueryResponse::Marginal { gain, .. } => {
-                assert!((gain - expected).abs() < 1e-9, "candidate {candidate}");
+    for (shards, engine) in engines(&index) {
+        match engine.execute(&Query::Spread { seeds: seeds.clone() }) {
+            QueryResponse::Spread { estimate, coverage_fraction } => {
+                assert!((estimate - collection.estimate_influence(&seeds)).abs() < 1e-9);
+                assert!((coverage_fraction - collection.coverage_fraction(&seeds)).abs() < 1e-12);
             }
             other => panic!("unexpected {other:?}"),
+        }
+
+        let base = &seeds[..2];
+        for candidate in [seeds[2], seeds[0], 0u32] {
+            let with: Vec<u32> = base.iter().copied().chain([candidate]).collect();
+            let expected =
+                collection.estimate_influence(&with) - collection.estimate_influence(base);
+            match engine.execute(&Query::Marginal { seeds: base.to_vec(), candidate }) {
+                QueryResponse::Marginal { gain, .. } => {
+                    assert!((gain - expected).abs() < 1e-9, "{shards} shards, {candidate}");
+                }
+                other => panic!("unexpected {other:?}"),
+            }
         }
     }
 }
@@ -125,9 +145,9 @@ fn snapshot_round_trip_preserves_served_answers() {
     let reloaded = SketchIndex::load(&mut bytes.as_slice()).unwrap();
     assert_eq!(reloaded, index, "snapshot save → load must round-trip exactly");
 
-    let before = QueryEngine::new(Arc::new(index));
-    let after = QueryEngine::new(Arc::new(reloaded));
-    for k in [2usize, 6] {
-        assert_eq!(top_k(&before, k), top_k(&after, k), "budget {k}");
+    for ((shards, before), (_, after)) in engines(&index).iter().zip(engines(&reloaded)) {
+        for k in [2usize, 6] {
+            assert_eq!(top_k(before, k), top_k(&after, k), "{shards} shards, budget {k}");
+        }
     }
 }

@@ -4,9 +4,12 @@
 //! answers — and every corruption or inconsistent-mixture failure mode must
 //! be rejected loudly.
 
+mod common;
+
+use common::Reference;
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta};
-use imm_service::{Query, QueryEngine, SampleSpec, SketchIndex};
+use imm_service::{Query, SampleSpec, SketchIndex};
 use imm_shard::{
     assemble, load_shard_files, read_shard, split_to_bytes, write_shard_files, ShardFileError,
     ShardedEngine, ShardedIndex,
@@ -54,10 +57,10 @@ fn split_files_reassemble_to_the_identical_index() {
         assert_eq!(reassembled, index);
 
         // And the shard files serve byte-identically to the original index.
-        let single = QueryEngine::new(Arc::new(index.clone()));
+        let reference = Reference::new(index.sets());
         let engine = ShardedEngine::new(Arc::new(sharded));
         for k in [1usize, 4, 9] {
-            assert_eq!(engine.execute(&Query::top_k(k)), single.execute(&Query::top_k(k)));
+            assert_eq!(engine.execute(&Query::top_k(k)), reference.answer(&Query::top_k(k)));
         }
         for path in paths {
             std::fs::remove_file(path).ok();

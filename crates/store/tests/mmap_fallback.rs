@@ -7,7 +7,8 @@
 use imm_diffusion::DiffusionModel;
 use imm_fault::FaultConfig;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
-use imm_service::{Query, QueryEngine, SampleSpec, SketchIndex};
+use imm_service::{Query, SampleSpec, SketchIndex};
+use imm_shard::{ShardedEngine, ShardedIndex};
 use imm_store::{LoadMode, Store, StoreError};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -18,6 +19,11 @@ fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("imm_store_fallback_tests");
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(format!("{name}_{}.sketch", std::process::id()))
+}
+
+/// The query engine over `index` as one shard (its postings adopted as is).
+fn one_shard_engine(index: SketchIndex) -> ShardedEngine {
+    ShardedEngine::new(Arc::new(ShardedIndex::from_index(index, 1).unwrap()))
 }
 
 fn sample_index(seed: u64) -> SketchIndex {
@@ -36,7 +42,7 @@ fn a_fault_mid_map_degrades_to_read_decode_and_keeps_parity() {
 
     let queries = [Query::top_k(3), Query::top_k(6), Query::Spread { seeds: vec![2, 4, 8] }];
     let baseline: Vec<_> = {
-        let engine = QueryEngine::new(Arc::new(Store::open_mapped(&path).unwrap().index));
+        let engine = one_shard_engine(Store::open_mapped(&path).unwrap().index);
         queries.iter().map(|q| engine.execute(q)).collect()
     };
 
@@ -46,7 +52,7 @@ fn a_fault_mid_map_degrades_to_read_decode_and_keeps_parity() {
         let degraded = Store::open(&path).expect("fallback must absorb the fault");
         assert_eq!(degraded.mode, LoadMode::ReadDecode);
         assert_eq!(degraded.index, index);
-        let engine = QueryEngine::new(Arc::new(degraded.index));
+        let engine = one_shard_engine(degraded.index);
         let served: Vec<_> = queries.iter().map(|q| engine.execute(q)).collect();
         assert_eq!(served, baseline, "degraded path must serve identical batches");
 
@@ -96,7 +102,7 @@ fn advise_faults_are_absorbed_and_serving_continues() {
         assert_eq!(advised, 1, "the faulted range is skipped, the rest proceed");
     });
     // Serving is unaffected either way.
-    let engine = QueryEngine::new(Arc::new(opened.index));
+    let engine = one_shard_engine(opened.index);
     assert!(matches!(engine.execute(&Query::top_k(4)), imm_service::QueryResponse::TopK { .. }));
     std::fs::remove_file(&path).ok();
 }

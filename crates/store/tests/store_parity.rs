@@ -10,9 +10,8 @@
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
 use imm_rrr::{AdaptivePolicy, RrrCollection};
-use imm_service::{
-    IndexMeta, Query, QueryEngine, SampleSpec, SketchIndex, SNAPSHOT_MAGIC, SNAPSHOT_VERSION_V3,
-};
+use imm_service::{IndexMeta, Query, SampleSpec, SketchIndex, SNAPSHOT_MAGIC, SNAPSHOT_VERSION_V3};
+use imm_shard::{ShardedEngine, ShardedIndex};
 use imm_store::{LoadMode, Store};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -52,6 +51,21 @@ fn static_index() -> SketchIndex {
         .unwrap()
 }
 
+/// The query engine over `index` as one shard (its postings adopted as is).
+fn one_shard_engine(index: SketchIndex) -> ShardedEngine {
+    ShardedEngine::new(Arc::new(ShardedIndex::from_index(index, 1).unwrap()))
+}
+
+fn parity_queries() -> Vec<Query> {
+    vec![
+        Query::top_k(1),
+        Query::top_k(4),
+        Query::top_k(9),
+        Query::Spread { seeds: vec![0, 3, 5] },
+        Query::Marginal { seeds: vec![1, 2], candidate: 7 },
+    ]
+}
+
 fn assert_full_parity(mapped: &SketchIndex, heap: &SketchIndex) {
     assert_eq!(mapped, heap);
     assert_eq!(mapped.meta(), heap.meta());
@@ -62,21 +76,42 @@ fn assert_full_parity(mapped: &SketchIndex, heap: &SketchIndex) {
         assert_eq!(mapped.degree(v), heap.degree(v));
     }
     // Query responses must be byte-identical, not just "equivalent".
-    let queries = vec![
-        Query::top_k(1),
-        Query::top_k(4),
-        Query::top_k(9),
-        Query::Spread { seeds: vec![0, 3, 5] },
-        Query::Marginal { seeds: vec![1, 2], candidate: 7 },
-    ];
-    let mapped_engine = QueryEngine::new(Arc::new(mapped.clone()));
-    let heap_engine = QueryEngine::new(Arc::new(heap.clone()));
+    let queries = parity_queries();
+    let mapped_engine = one_shard_engine(mapped.clone());
+    let heap_engine = one_shard_engine(heap.clone());
     for q in &queries {
         assert_eq!(mapped_engine.execute(q), heap_engine.execute(q), "response diverges on {q:?}");
     }
     let batch_mapped = mapped_engine.execute_batch(&queries, 3);
     let batch_heap = heap_engine.execute_batch(&queries, 3);
     assert_eq!(batch_mapped, batch_heap);
+}
+
+/// The single index served as one shard keeps the mapped postings: no
+/// rebuild on the way from `Store::open` to the engine, and the answers
+/// equal the heap-decoded index's.
+#[test]
+fn one_shard_engine_serves_the_mapped_postings_without_a_rebuild() {
+    let index = dynamic_index(7);
+    let path = temp_path("one_shard");
+    index.save_to_path(&path).unwrap();
+
+    let opened = Store::open(&path).expect("open");
+    assert_eq!(opened.mode, LoadMode::Mapped);
+    let heap = Store::open_read(&path).expect("read open").index;
+    let sharded = ShardedIndex::from_index(opened.index, 1).unwrap();
+    let segment = &sharded.segments()[0];
+    assert!(segment.is_postings_shared(), "the one shard must serve the mapped postings");
+    assert!(sharded.collection().is_arena_shared(), "and the mapped arena");
+    for v in 0..heap.num_nodes() as u32 {
+        assert_eq!(segment.postings(v), heap.postings(v), "postings diverge at vertex {v}");
+    }
+    let mapped_engine = ShardedEngine::new(Arc::new(sharded));
+    let heap_engine = one_shard_engine(heap);
+    for q in &parity_queries() {
+        assert_eq!(mapped_engine.execute(q), heap_engine.execute(q), "response diverges on {q:?}");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -66,10 +66,12 @@ fn facade_supports_build_index_then_top_k_and_spread() {
     let exec = imm::ExecutionConfig::new(imm::Algorithm::Efficient, 2).with_retained_sets(true);
     let result = imm::run_imm(&g, &w, &params, &exec).expect("facade run");
 
-    // ...freeze it into an index and serve queries against it.
+    // ...freeze it into an index and serve queries against it (a single
+    // index is the query engine's one-shard case).
     let index = service::SketchIndex::build(&g, result.rrr_sets.unwrap(), "facade-smoke")
         .expect("index build");
-    let engine = service::QueryEngine::new(Arc::new(index));
+    let single = shard::ShardedIndex::from_index(index.clone(), 1).expect("one shard");
+    let engine = shard::ShardedEngine::new(Arc::new(single));
 
     let top = engine.execute(&service::Query::top_k(4));
     let seeds = match &top {
@@ -90,8 +92,7 @@ fn facade_supports_build_index_then_top_k_and_spread() {
     // ...and the same index partitioned into shards serves identically
     // through the facade's scatter/gather path.
     let single_answer = engine.execute(&service::Query::top_k(4));
-    let sharded =
-        shard::ShardedIndex::from_index((**engine.index()).clone(), 3).expect("shardable");
+    let sharded = shard::ShardedIndex::from_index(index, 3).expect("shardable");
     let sharded_engine = shard::ShardedEngine::new(Arc::new(sharded));
     assert_eq!(sharded_engine.execute(&service::Query::top_k(4)), single_answer);
 }
