@@ -4,7 +4,7 @@
 //! once, then the graph keeps mutating (followers added/dropped, weights
 //! drifting). For each churn rate the harness applies one random delta batch
 //! — half deletions of existing edges, half insertions — and measures
-//! `SketchIndex::apply_delta` (invalidate → resample touched sets → patch
+//! `SketchIndex::apply_delta` (invalidate → resample touched sets → rebuild
 //! postings) against `SketchIndex::sample` from scratch on the mutated
 //! graph. Both paths produce byte-identical indexes (asserted), so the table
 //! is a pure cost comparison.

@@ -22,17 +22,17 @@
 //!    untouched destinations, so every *kept* set is also byte-identical to
 //!    its from-scratch counterpart. This pair of facts is the correctness
 //!    anchor the differential test suite pins down.
-//! 3. **Patch.** The inverted postings and occurrence counts are patched in
-//!    place (one merge pass over the postings arrays — no set iteration, no
-//!    bitmap scans), the per-set provenance records are swapped, and the
-//!    delta is appended to the log.
+//! 3. **Swap and rebuild.** The resampled sets and their provenance records
+//!    are swapped in, the delta is appended to the log, and the postings of
+//!    every segment owning a resampled set are rebuilt — the whole index for
+//!    a [`SketchIndex`], only the dirty shards for a sharded index.
 //!
-//! The query layer integrates via `imm_shard::ShardedEngine::apply_delta`,
-//! which routes the same refresh through its shard map, then resets the
-//! shared greedy prefix and drops the response cache so no stale answer
-//! survives the mutation.
+//! Both layouts run these steps through [`refresh_sets`]. The query layer
+//! integrates via `imm_shard::ShardedEngine::apply_delta`, which refreshes
+//! its sharded index, then resets the shared greedy prefix and drops the
+//! response cache so no stale answer survives the mutation.
 
-use crate::index::{IndexError, PostingsStore, SetId, SketchIndex};
+use crate::index::{IndexError, IndexMeta, PostingsStore, SketchIndex};
 use efficient_imm::balance::Schedule;
 use efficient_imm::sampling::{
     generate_indexed_rrr_set, generate_rrr_sets_traced, SamplingConfig, VisitMarker,
@@ -165,16 +165,15 @@ impl From<DeltaError> for DynamicError {
     }
 }
 
-/// Which sets does `delta` invalidate? — THE shared predicate of every
-/// refresh path (single-index and shard-routed alike), so the two can never
-/// drift: sets containing a touched edge's destination (exact superset of
-/// the affected sets), footprint-pruned for per-edge-frozen weight models
-/// (see the module docs for why degree-normalized models must not prune).
+/// Which sets does `delta` invalidate? — the predicate of [`refresh_sets`]:
+/// sets containing a touched edge's destination (exact superset of the
+/// affected sets), footprint-pruned for per-edge-frozen weight models (see
+/// the module docs for why degree-normalized models must not prune).
 ///
 /// `postings_of(v, sink)` must call `sink(set_id)` for every set containing
 /// `v` — the single index walks its global postings, a sharded index walks
 /// each shard's local postings rebased by its range start.
-pub fn invalidated_sets(
+fn invalidated_sets(
     delta: &GraphDelta,
     weights: &EdgeWeights,
     provenance: &SketchProvenance,
@@ -214,8 +213,7 @@ pub fn invalidated_sets(
 /// `(spec.rng_seed, id)` on the mutated graph — exactly what a from-scratch
 /// rebuild would produce at those indices. Chunked across worker threads;
 /// the output is deterministic (sorted by id, every id owns its stream).
-/// Shared by `SketchIndex::apply_delta` and the shard-routed refresh.
-pub fn resample_sets(
+fn resample_sets(
     spec: SampleSpec,
     ids: &[usize],
     new_graph: &CsrGraph,
@@ -341,112 +339,84 @@ impl SketchIndex {
     /// refresh statistics. On success the index is byte-identical to a
     /// from-scratch [`SketchIndex::sample`] over the mutated pair with the
     /// same spec and θ, at a fraction of the sampling cost.
+    ///
+    /// This is the one-segment case of [`refresh_sets`]: when any set was
+    /// resampled, the postings are rebuilt over the whole collection.
     pub fn apply_delta(
         &mut self,
         graph: &CsrGraph,
         weights: &EdgeWeights,
         delta: &GraphDelta,
     ) -> Result<(CsrGraph, EdgeWeights, RefreshStats), DynamicError> {
-        let provenance = self.provenance.as_ref().ok_or(DynamicError::NotDynamic)?;
-        if graph.num_nodes() != self.num_nodes() || graph.num_edges() != self.meta.num_edges {
-            return Err(DynamicError::GraphMismatch {
-                expected: (self.num_nodes(), self.meta.num_edges),
-                found: (graph.num_nodes(), graph.num_edges()),
-            });
+        let postings = &self.postings;
+        let (new_graph, new_weights, stats, replaced) = refresh_sets(
+            &mut self.sets,
+            &mut self.meta,
+            self.provenance.as_mut(),
+            graph,
+            weights,
+            delta,
+            |v, sink| postings.get(v).iter().for_each(|&sid| sink(sid as usize)),
+        )?;
+        if !replaced.is_empty() {
+            self.postings = PostingsStore::build(self.sets.slice(0, self.sets.len()))
+                .expect("resampled sets stay inside the vertex space");
         }
-        let (new_graph, new_weights) = delta.apply(graph, weights)?;
-
-        let invalid_ids =
-            invalidated_sets(delta, weights, provenance, self.num_sets(), |v, sink| {
-                for &sid in self.postings(v) {
-                    sink(sid as usize);
-                }
-            });
-        let changed = resample_sets(
-            provenance.spec,
-            &invalid_ids,
-            &new_graph,
-            &new_weights,
-            self.num_nodes(),
-        );
-
-        let stats = RefreshStats {
-            total_sets: self.num_sets(),
-            resampled_sets: changed.len(),
-            inserted_edges: delta.insertions().len(),
-            deleted_edges: delta.deletions().len(),
-            reweighted_edges: delta.reweights().len(),
-            num_edges_after: new_graph.num_edges(),
-        };
-
-        self.patch(changed);
-        self.meta.num_edges = new_graph.num_edges();
-        let provenance = self.provenance.as_mut().expect("checked above");
-        provenance.delta_log.push(DeltaLogEntry {
-            delta: delta.clone(),
-            resampled_sets: stats.resampled_sets as u64,
-        });
-
         Ok((new_graph, new_weights, stats))
     }
+}
 
-    /// Swap the changed sets in and patch the inverted postings in place.
-    ///
-    /// `changed` must be sorted by set id. The merge keeps every posting
-    /// list sorted, so the patched structure is indistinguishable from a
-    /// fresh [`SketchIndex::from_collection`] pass over the updated sets.
-    fn patch(&mut self, changed: Vec<(usize, RrrSet, SetProvenance)>) {
-        if changed.is_empty() {
-            return;
-        }
-        let n = self.num_nodes();
-        let mut removed = vec![0usize; n];
-        let mut added = vec![0usize; n];
-        let mut is_changed = vec![false; self.num_sets()];
-        let mut fresh: Vec<Vec<SetId>> = vec![Vec::new(); n];
-        for (sid, new_set, _) in &changed {
-            is_changed[*sid] = true;
-            self.sets.get(*sid).for_each(|v| removed[v as usize] += 1);
-            for v in new_set.iter() {
-                added[v as usize] += 1;
-                fresh[v as usize].push(*sid as SetId);
-            }
-        }
-
-        let mut new_offsets = Vec::with_capacity(n + 1);
-        new_offsets.push(0usize);
-        for v in 0..n {
-            let old_deg = self.degree(v as NodeId) as usize;
-            new_offsets.push(new_offsets[v] + old_deg - removed[v] + added[v]);
-        }
-        let mut new_postings: Vec<SetId> = Vec::with_capacity(new_offsets[n]);
-        for (v, additions) in fresh.iter().enumerate() {
-            let old = self.postings(v as NodeId);
-            let mut next = 0usize;
-            for &sid in old {
-                if is_changed[sid as usize] {
-                    continue;
-                }
-                while next < additions.len() && additions[next] < sid {
-                    new_postings.push(additions[next]);
-                    next += 1;
-                }
-                new_postings.push(sid);
-            }
-            new_postings.extend_from_slice(&additions[next..]);
-        }
-        debug_assert_eq!(new_postings.len(), new_offsets[n]);
-        // Wholesale replacement: a mapped (shared) postings backing is
-        // dropped here and the patched index owns its postings from now on.
-        self.postings = PostingsStore::Owned { offsets: new_offsets, postings: new_postings };
-
-        let provenance =
-            self.provenance.as_mut().expect("patch is only reached on dynamic indexes");
-        for (sid, new_set, record) in changed {
-            self.sets.replace(sid, new_set);
-            provenance.sets[sid] = record;
-        }
+/// The refresh every index layout runs — a [`SketchIndex`] and a sharded
+/// index alike, so the two can never drift.
+///
+/// Checks that `graph` + `weights` are the revision `meta` describes,
+/// applies `delta`, invalidates through `postings_of` (which must call
+/// `sink(set_id)` for every set containing the vertex) and the shared
+/// predicate, resamples the invalidated sets from their original RNG
+/// streams, swaps them and their provenance records into `sets`, and logs
+/// the delta. Returns the mutated graph/weights, the refresh statistics and
+/// the ids of the replaced sets in increasing order: the caller rebuilds
+/// the postings covering them.
+pub fn refresh_sets(
+    sets: &mut RrrCollection,
+    meta: &mut IndexMeta,
+    provenance: Option<&mut SketchProvenance>,
+    graph: &CsrGraph,
+    weights: &EdgeWeights,
+    delta: &GraphDelta,
+    postings_of: impl FnMut(NodeId, &mut dyn FnMut(usize)),
+) -> Result<(CsrGraph, EdgeWeights, RefreshStats, Vec<usize>), DynamicError> {
+    let provenance = provenance.ok_or(DynamicError::NotDynamic)?;
+    if graph.num_nodes() != sets.num_nodes() || graph.num_edges() != meta.num_edges {
+        return Err(DynamicError::GraphMismatch {
+            expected: (sets.num_nodes(), meta.num_edges),
+            found: (graph.num_nodes(), graph.num_edges()),
+        });
     }
+    let (new_graph, new_weights) = delta.apply(graph, weights)?;
+    let invalid_ids = invalidated_sets(delta, weights, provenance, sets.len(), postings_of);
+    let changed =
+        resample_sets(provenance.spec, &invalid_ids, &new_graph, &new_weights, sets.num_nodes());
+
+    let stats = RefreshStats {
+        total_sets: sets.len(),
+        resampled_sets: changed.len(),
+        inserted_edges: delta.insertions().len(),
+        deleted_edges: delta.deletions().len(),
+        reweighted_edges: delta.reweights().len(),
+        num_edges_after: new_graph.num_edges(),
+    };
+    let mut replaced = Vec::with_capacity(changed.len());
+    for (sid, set, record) in changed {
+        sets.replace(sid, set);
+        provenance.sets[sid] = record;
+        replaced.push(sid);
+    }
+    provenance
+        .delta_log
+        .push(DeltaLogEntry { delta: delta.clone(), resampled_sets: stats.resampled_sets as u64 });
+    meta.num_edges = new_graph.num_edges();
+    Ok((new_graph, new_weights, stats, replaced))
 }
 
 #[cfg(test)]

@@ -31,8 +31,8 @@ pub trait PostingsSource: Send + Sync + std::panic::RefUnwindSafe + std::fmt::De
 /// Backing storage of an inverted vertex → set-id postings table: built on
 /// the heap by [`PostingsStore::build`], or borrowed from a shared buffer
 /// (the memory-mapped snapshot path). Mutation happens only through
-/// wholesale replacement (`dynamic::patch` rebuilds both arrays), which
-/// lands in the `Owned` form.
+/// wholesale replacement (a refresh rebuilds both arrays), which lands in
+/// the `Owned` form.
 ///
 /// Set ids are relative to the range the table was built over: a
 /// [`SketchIndex`] builds over its whole collection (global ids), a shard

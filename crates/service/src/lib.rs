@@ -25,8 +25,9 @@
 //! * [`dynamic`] — incremental refresh under graph mutation: a dynamic index
 //!   ([`SketchIndex::sample`]) records per-set provenance, and
 //!   [`SketchIndex::apply_delta`] resamples only the RRR sets an
-//!   [`imm_graph::GraphDelta`] actually touches and patches the postings in
-//!   place — byte-identical to a from-scratch rebuild on the mutated graph.
+//!   [`imm_graph::GraphDelta`] actually touches, then rebuilds the postings
+//!   ([`refresh_sets`], shared with the sharded index) —
+//!   byte-identical to a from-scratch rebuild on the mutated graph.
 //!
 //! ```
 //! use efficient_imm::{run_imm, Algorithm, ExecutionConfig, ImmParams};
@@ -58,8 +59,7 @@ pub mod snapshot;
 
 pub use cache::{CacheStats, QueryCache};
 pub use dynamic::{
-    invalidated_sets, resample_sets, DeltaLogEntry, DynamicError, RefreshStats, SampleSpec,
-    SketchProvenance,
+    refresh_sets, DeltaLogEntry, DynamicError, RefreshStats, SampleSpec, SketchProvenance,
 };
 pub use index::{IndexError, IndexMeta, PostingsSource, PostingsStore, SetId, SketchIndex};
 pub use query::{Query, QueryKey, QueryResponse};

@@ -161,8 +161,13 @@ impl ShardCell {
     /// Serve [`ShardRequest::Coverage`]. The marks go into the cell's
     /// scratch bitset and exactly those bits are cleared again before
     /// returning, so a request costs the postings it walks, not the shard
-    /// size. Out-of-range vertices cover nothing.
+    /// size. A walk that panicked (the pool catches it and keeps the cell)
+    /// leaves marks behind; the next request finds the set count non-zero
+    /// and wipes them first. Out-of-range vertices cover nothing.
     fn coverage(&mut self, seeds: &[NodeId], candidate: Option<NodeId>) -> usize {
+        if !self.scratch.is_empty() {
+            self.scratch.clear();
+        }
         let index = self.index.as_ref().expect("shard cell has an installed index");
         let segment = &index.segments()[self.shard];
         let n = index.num_nodes();
@@ -185,7 +190,6 @@ impl ShardCell {
                 self.scratch.remove(lsid as usize);
             }
         }
-        debug_assert!(self.scratch.is_empty(), "scratch is clear between requests");
         count
     }
 
@@ -333,12 +337,15 @@ impl DistributedGreedy {
 /// one-shard case), answering the [`Query`] vocabulary with results
 /// byte-identical for every shard count.
 ///
-/// The engine is `Sync`: Spread/Marginal queries scatter lock-free against
-/// the immutable index, Top-K extensions serialize on the shared greedy
-/// prefix, and responses are memoized in an LRU cache keyed on normalized
-/// queries. Execution runs on an embedded [`PinnedPool`]: one cell per
-/// shard, with worker threads only where the host (and [`WakeMode`]) can
-/// profit from them. Dropping the engine shuts the pool down cleanly.
+/// The engine is `Sync`: Spread/Marginal queries scatter one request per
+/// shard, and each request is served under that shard's cell lock (the
+/// cell's scratch bitset depends on it), so concurrent queries serialize
+/// per shard — at one shard, on one lock. Top-K extensions serialize on
+/// the shared greedy prefix, and responses are memoized in an LRU cache
+/// keyed on normalized queries. Execution runs on an embedded
+/// [`PinnedPool`]: one cell per shard, with worker threads only where the
+/// host (and [`WakeMode`]) can profit from them. Dropping the engine shuts
+/// the pool down cleanly.
 #[derive(Debug)]
 pub struct ShardedEngine {
     index: Arc<ShardedIndex>,
@@ -785,6 +792,7 @@ mod tests {
     use super::*;
     use imm_rrr::{RrrCollection, RrrSet};
     use imm_service::IndexMeta;
+    use std::panic::{self, AssertUnwindSafe};
 
     fn sharded_index(num_nodes: usize, sets: &[&[NodeId]], shards: usize) -> Arc<ShardedIndex> {
         let mut c = RrrCollection::new(num_nodes);
@@ -1117,6 +1125,58 @@ mod tests {
                 state.merged[v as usize],
                 "vertex {v}"
             );
+        }
+    }
+
+    /// Postings that put a set id beyond the index's θ into one vertex's
+    /// list — what a corrupt mapped file (whose payload checksum the mapped
+    /// path skips) would serve: offsets, then set ids.
+    #[derive(Debug)]
+    struct CorruptPostings(Vec<u64>, Vec<u32>);
+
+    impl imm_service::PostingsSource for CorruptPostings {
+        fn offsets(&self) -> &[u64] {
+            &self.0
+        }
+        fn set_ids(&self) -> &[u32] {
+            &self.1
+        }
+    }
+
+    #[test]
+    fn a_walk_that_panics_leaves_no_marks_for_later_requests() {
+        let reference = figure3(1);
+        let honest = &reference.index().segments()[0];
+        let (mut offsets, mut set_ids) = (vec![0u64], Vec::new());
+        for v in 0..6u32 {
+            set_ids.extend_from_slice(honest.postings(v));
+            if v == 5 {
+                set_ids.push(99);
+            }
+            offsets.push(set_ids.len() as u64);
+        }
+        let corrupt = imm_service::SketchIndex::from_mapped_parts(
+            reference.index().collection().clone(),
+            IndexMeta::default(),
+            None,
+            Arc::new(CorruptPostings(offsets, set_ids)),
+        )
+        .unwrap();
+        let corrupt = Arc::new(ShardedIndex::from_index(corrupt, 1).unwrap());
+        for mode in [WakeMode::Auto, WakeMode::Always] {
+            let engine = ShardedEngine::with_runtime(corrupt.clone(), 2, 0, mode);
+            // Vertex 4 marks sets 2, 3, 4; vertex 5 then reaches id 99 and
+            // the walk panics before the clearing pass.
+            let poisoned = Query::Spread { seeds: vec![4, 5] };
+            let walk = panic::catch_unwind(AssertUnwindSafe(|| engine.execute(&poisoned)));
+            assert!(walk.is_err(), "{mode:?}: the bad set id must fail the walk");
+            for q in [
+                Query::Spread { seeds: vec![2] },
+                Query::Spread { seeds: vec![1, 3] },
+                Query::Marginal { seeds: vec![0], candidate: 4 },
+            ] {
+                assert_eq!(engine.execute(&q), reference.execute(&q), "{mode:?}: {q:?}");
+            }
         }
     }
 }

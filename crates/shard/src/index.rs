@@ -18,7 +18,7 @@ use crate::segment::ShardSegment;
 use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::RrrCollection;
 use imm_service::{
-    DeltaLogEntry, DynamicError, IndexError, IndexMeta, RefreshStats, SketchIndex, SketchProvenance,
+    DynamicError, IndexError, IndexMeta, RefreshStats, SketchIndex, SketchProvenance,
 };
 use std::sync::Arc;
 
@@ -200,93 +200,45 @@ impl ShardedIndex {
         Ok((next, new_graph, new_weights, stats))
     }
 
-    /// Refresh the sharded index against `delta` — the shard-routed mirror
-    /// of [`SketchIndex::apply_delta`].
+    /// Refresh the sharded index against `delta` through the same
+    /// [`imm_service::refresh_sets`] as [`SketchIndex::apply_delta`].
     ///
-    /// Invalidation walks the per-shard postings (same exact-superset
-    /// predicate, with the same footprint pruning for per-edge-frozen weight
-    /// models), the invalidated sets are resampled from their original RNG
-    /// streams `(rng_seed, set_index)` on the mutated graph, and then only
-    /// the shards owning a resampled set rebuild their postings. The
-    /// refreshed index is byte-identical to a from-scratch
+    /// Invalidation walks the per-shard postings rebased to global ids, and
+    /// only the shards owning a resampled set rebuild their postings (at
+    /// one shard, the whole index — exactly what the single index does).
+    /// The refreshed index is byte-identical to a from-scratch
     /// `SketchIndex::sample` + `ShardedIndex::from_index` over the mutated
-    /// pair — the shard parity suite pins this against the single-index
-    /// refresh path.
+    /// pair — the differential and shard parity suites pin this.
     pub fn apply_delta(
         &mut self,
         graph: &CsrGraph,
         weights: &EdgeWeights,
         delta: &GraphDelta,
     ) -> Result<(CsrGraph, EdgeWeights, RefreshStats), DynamicError> {
-        let provenance = self.provenance.as_ref().ok_or(DynamicError::NotDynamic)?;
-        if graph.num_nodes() != self.num_nodes() || graph.num_edges() != self.meta.num_edges {
-            return Err(DynamicError::GraphMismatch {
-                expected: (self.num_nodes(), self.meta.num_edges),
-                found: (graph.num_nodes(), graph.num_edges()),
-            });
-        }
-        let (new_graph, new_weights) = delta.apply(graph, weights)?;
-
-        // Invalidate through the shard map — same shared predicate as the
-        // single-index path, with each shard's postings answering "which of
-        // *your* sets contain the touched destination" — then resample the
-        // invalidated sets from their original RNG streams.
-        let invalid_ids = imm_service::invalidated_sets(
-            delta,
+        let segments = &self.segments;
+        let (new_graph, new_weights, stats, replaced) = imm_service::refresh_sets(
+            &mut self.collection,
+            &mut self.meta,
+            self.provenance.as_mut(),
+            graph,
             weights,
-            provenance,
-            self.num_sets(),
+            delta,
             |v, sink| {
-                for seg in &self.segments {
-                    for &lsid in seg.postings(v) {
-                        sink(seg.start() + lsid as usize);
-                    }
+                for seg in segments {
+                    seg.postings(v).iter().for_each(|&lsid| sink(seg.start() + lsid as usize));
                 }
             },
-        );
-        let changed = imm_service::resample_sets(
-            provenance.spec,
-            &invalid_ids,
-            &new_graph,
-            &new_weights,
-            self.num_nodes(),
-        );
-
-        let stats = RefreshStats {
-            total_sets: self.num_sets(),
-            resampled_sets: changed.len(),
-            inserted_edges: delta.insertions().len(),
-            deleted_edges: delta.deletions().len(),
-            reweighted_edges: delta.reweights().len(),
-            num_edges_after: new_graph.num_edges(),
-        };
-
-        // Patch: swap the resampled sets into the shared collection, then
-        // rebuild postings only for the shards that own one.
-        let mut dirty = vec![false; self.segments.len()];
-        {
-            let provenance = self.provenance.as_mut().expect("checked above");
-            for (sid, set, record) in changed {
-                dirty[self.segments.partition_point(|seg| seg.start() <= sid) - 1] = true;
-                self.collection.replace(sid, set);
-                provenance.sets[sid] = record;
-            }
-            provenance.delta_log.push(DeltaLogEntry {
-                delta: delta.clone(),
-                resampled_sets: stats.resampled_sets as u64,
-            });
+        )?;
+        // `replaced` is sorted, so each dirty shard appears in one run.
+        let mut dirty: Vec<usize> = replaced.iter().map(|&sid| self.shard_of(sid)).collect();
+        dirty.dedup();
+        for s in dirty {
+            let (start, len) = (self.segments[s].start(), self.segments[s].len());
+            self.segments[s] = Arc::new(
+                ShardSegment::build(&self.collection, start, len)
+                    .expect("resampled sets stay inside the vertex space"),
+            );
         }
-        for (s, is_dirty) in dirty.iter().enumerate() {
-            if *is_dirty {
-                let (start, len) = (self.segments[s].start(), self.segments[s].len());
-                self.segments[s] = Arc::new(
-                    ShardSegment::build(&self.collection, start, len)
-                        .expect("resampled sets stay inside the vertex space"),
-                );
-            }
-        }
-        self.meta.num_edges = new_graph.num_edges();
-
         Ok((new_graph, new_weights, stats))
     }
 }

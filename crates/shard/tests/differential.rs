@@ -1,10 +1,10 @@
 //! The correctness anchor of incremental sketch refresh: after any sequence
 //! of edge insertions / deletions / reweights applied through the query
-//! engine's `apply_delta` (at one shard — the single index — and split
-//! across several), the refreshed index must be **byte-identical** — same
-//! RRR sets, same postings, same Top-K seeds, same spread estimates — to a
-//! from-scratch `SketchIndex::sample` over the mutated graph with the same
-//! RNG seed and θ.
+//! engine's `apply_delta` (at one shard and split across several) or
+//! through `SketchIndex::apply_delta`, the refreshed index must be
+//! **byte-identical** — same RRR sets, same postings, same Top-K seeds,
+//! same spread estimates — to a from-scratch `SketchIndex::sample` over the
+//! mutated graph with the same RNG seed and θ.
 //!
 //! The properties drive random delta sequences against random graphs under
 //! all three weight regimes (per-edge-frozen constant weights, the
@@ -96,8 +96,11 @@ fn spread(engine: &ShardedEngine, seeds: Vec<NodeId>) -> f64 {
 }
 
 /// Apply `batches` random deltas through the engine at every tracked shard
-/// count, checking after every batch that the refreshed index is
-/// indistinguishable from a from-scratch sample of the mutated graph.
+/// count, and through `SketchIndex::apply_delta` on a plain index (the
+/// `update-index` path), checking after every batch that each refreshed
+/// index is indistinguishable from a from-scratch sample of the mutated
+/// graph. The plain index is checked as the one-shard engine over it, which
+/// adopts its postings unchanged, so those postings are the ones under test.
 fn assert_differential(
     graph: CsrGraph,
     weights: EdgeWeights,
@@ -110,51 +113,56 @@ fn assert_differential(
         .expect("initial sample");
     let mut engines: Vec<(usize, ShardedEngine)> =
         SHARD_COUNTS.iter().map(|&shards| (shards, engine(index.clone(), shards))).collect();
+    let mut plain = index;
     let (mut graph, mut weights) = (graph, weights);
 
     for (round, &op_seed) in batch_seeds.iter().enumerate() {
         let ops = 1 + (op_seed % 5) as usize;
         let delta = random_delta(&graph, ops, op_seed);
-        let mut next = None;
+        let (next_graph, next_weights, stats) = plain
+            .apply_delta(&graph, &weights, &delta)
+            .unwrap_or_else(|e| panic!("round {round}, plain index: {e}"));
+        assert_eq!(stats.total_sets, THETA);
         for (shards, engine) in &mut engines {
-            let (next_graph, next_weights, stats) = engine
+            let (engine_graph, _, stats) = engine
                 .apply_delta(&graph, &weights, &delta)
                 .unwrap_or_else(|e| panic!("round {round}, {shards} shards: {e}"));
             assert_eq!(stats.total_sets, THETA);
-            next = Some((next_graph, next_weights));
+            assert_eq!(engine_graph, next_graph, "round {round}, {shards} shards: graph diverged");
         }
-        (graph, weights) = next.expect("at least one engine");
+        (graph, weights) = (next_graph, next_weights);
 
         let rebuilt = SketchIndex::sample(&graph, &weights, spec, THETA, 2, "differential")
             .expect("rebuild sample");
-        for (shards, engine) in &engines {
+        let plain_engine = engine(plain.clone(), 1);
+        let served = engines
+            .iter()
+            .map(|(shards, engine)| (*shards, format!("{shards} shards"), engine))
+            .chain(std::iter::once((1, "plain index".to_string(), &plain_engine)));
+        for (shards, label, engine) in served {
             let refreshed = engine.index();
             // Structural identity: the kept + resampled sets and their
             // provenance must match what the rebuild sampled from scratch.
-            assert_eq!(
-                refreshed.collection(),
-                rebuilt.sets(),
-                "round {round}, {shards} shards: sets diverged"
-            );
+            assert_eq!(refreshed.collection(), rebuilt.sets(), "round {round}, {label}: sets");
             assert_eq!(
                 refreshed.provenance().unwrap().sets,
                 rebuilt.provenance().unwrap().sets,
-                "round {round}, {shards} shards: provenance diverged"
+                "round {round}, {label}: provenance diverged"
             );
             for v in 0..graph.num_nodes() as NodeId {
                 assert_eq!(
                     global_postings(refreshed, v),
                     rebuilt.postings(v),
-                    "round {round}, {shards} shards, vertex {v}"
+                    "round {round}, {label}, vertex {v}"
                 );
             }
             // Served-answer identity: Top-K seeds and spread estimates.
-            let rebuilt_engine = self::engine(rebuilt.clone(), *shards);
+            let rebuilt_engine = self::engine(rebuilt.clone(), shards);
             for k in [1usize, 3, 7] {
                 assert_eq!(
                     top_k(engine, k),
                     top_k(&rebuilt_engine, k),
-                    "round {round}, {shards} shards, k={k}"
+                    "round {round}, {label}, k={k}"
                 );
             }
             let mut probe = SmallRng::seed_from_u64(op_seed ^ 0xABCD);
@@ -165,7 +173,7 @@ fn assert_differential(
                 let got = spread(engine, seeds.clone());
                 assert!(
                     (got - expected).abs() < 1e-12,
-                    "round {round}, {shards} shards: spread({seeds:?}) {got} != {expected}"
+                    "round {round}, {label}: spread({seeds:?}) {got} != {expected}"
                 );
             }
         }
