@@ -34,6 +34,14 @@ cargo test -q
 echo "==> workspace tests (all crates, PROPTEST_CASES=32)"
 PROPTEST_CASES=32 cargo test --workspace -q
 
+# The repository benchmark is a package of its own, outside the workspace,
+# so the sweep above never builds or tests it. Its tests include smoke
+# sessions that must pass every correctness gate; its traced driver calls
+# the public sampling/selection API the way `run_imm` does, so an API change
+# that breaks the benchmark fails here rather than only in a benchmark run.
+echo "==> benchmark package tests (release, offline)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 # The shard differential/parity suites are the correctness anchor of serving
 # (byte-identical answers to the batch kernels and estimators for every shard
 # count × thread count — one shard being the single index — including after

@@ -29,7 +29,9 @@
 //!    `ShardedEngine` per trial (so every trial pays the full greedy cost,
 //!    which is what the lazy-greedy selection optimizes) and uncached
 //!    Spread on a shared one. The sharding overhead/crossover is visible
-//!    against the one-shard entry.
+//!    against the one-shard entry. Last, a batch of uncached Spread
+//!    queries runs through the one-shard engine's `execute_batch` at 1 and
+//!    2 threads.
 //! 4. **Observability overhead** — per-op cost of the two `imm-obs`
 //!    hot-path primitives (relaxed counter add, histogram record),
 //!    measured directly, plus the instrumented sampling throughput of
@@ -43,7 +45,7 @@
 //! ```json
 //! {
 //!   "bench": "perf_suite",            // constant tag
-//!   "schema_version": 5,              // bump on layout changes
+//!   "schema_version": 6,              // bump on layout changes
 //!   "smoke": false,                   // true when --smoke shrank the run
 //!   "workload": {
 //!     "nodes": 60000, "edges": 623940,   // graph size actually built
@@ -71,6 +73,13 @@
 //!       {"shards": 2, "topk_p50_ms": 8.0, "spread_p50_us": 35.1},
 //!       {"shards": 4, "topk_p50_ms": 7.2, "spread_p50_us": 33.8}
 //!     ],
+//!     "spread_batch": {                 // 1-shard uncached Spread batch
+//!       "shards": 1, "queries": 2000,   //   through execute_batch:
+//!       "us_per_query_1t": 1.2,         //   median wall / query, 1 thread
+//!       "us_per_query_2t": 1.1,         //   the same at 2 threads
+//!       "speedup_2t": 1.09,             //   1t / 2t
+//!       "worker_tasks": 9               //   batch tasks run by pool workers
+//!     },
 //!     "obs_overhead": {                 // phase 4 instrumentation guard
 //!       "recording_enabled": true,      //   false under --features obs-off
 //!       "counter_add_ns": 3.1,          //   one relaxed counter add
@@ -92,7 +101,8 @@
 //! registry embed; the exec counters appear inside it under their
 //! unchanged (byte-stable) names. Schema v5 drops the separate
 //! single-index `topk_p50_ms` / `spread_p50_us` metrics: the `shards: 1`
-//! entry of `sharded_serving` is the single index.
+//! entry of `sharded_serving` is the single index. Schema v6 adds
+//! `spread_batch`, concurrent one-shard reads at 1 and 2 threads.
 //!
 //! All timings are wall-clock medians over the trial counts below; the
 //! memory figure is the collection's own heap accounting (the peak-RSS
@@ -138,6 +148,8 @@ struct Workload {
     selection_trials: usize,
     topk_trials: usize,
     spread_trials: usize,
+    batch_queries: usize,
+    batch_trials: usize,
     executor_rounds: usize,
 }
 
@@ -154,6 +166,8 @@ impl Workload {
             selection_trials: 3,
             topk_trials: 41,
             spread_trials: 501,
+            batch_queries: 2_000,
+            batch_trials: 9,
             executor_rounds: 501,
         }
     }
@@ -170,6 +184,8 @@ impl Workload {
             selection_trials: 1,
             topk_trials: 3,
             spread_trials: 21,
+            batch_queries: 64,
+            batch_trials: 1,
             executor_rounds: 21,
         }
     }
@@ -377,6 +393,48 @@ fn main() {
         }));
     }
 
+    // Concurrent one-shard reads: one batch of distinct uncached Spread
+    // queries through `execute_batch` at 1 and 2 threads, alternating which
+    // goes first. Each shard request holds its cell's lock, so at one shard
+    // the 2-thread batch can only gain what the lock leaves in parallel;
+    // the pool's worker-task count says whether a second thread ran at all.
+    let one_shard = w.shard_counts.iter().position(|&s| s == 1).expect("a 1-shard entry");
+    let engine = ShardedEngine::with_options(Arc::clone(&shard_indexes[one_shard]), w.threads, 0);
+    let mut batch_rng = SmallRng::seed_from_u64(RNG_SEED ^ 0xB47C);
+    let batch: Vec<Query> = (0..w.batch_queries)
+        .map(|_| Query::Spread {
+            seeds: (0..3).map(|_| batch_rng.gen_range(0..w.nodes as u32)).collect(),
+        })
+        .collect();
+    let batch_threads = [1usize, 2];
+    let mut batch_us: [Vec<f64>; 2] = Default::default();
+    let worker_tasks_before = imm_exec::metrics::TASKS_WORKER.value();
+    for trial in 0..w.batch_trials {
+        for slot in 0..batch_threads.len() {
+            let cfg = (trial + slot) % batch_threads.len();
+            let t = Instant::now();
+            let answers = engine.execute_batch(&batch, batch_threads[cfg]);
+            batch_us[cfg].push(t.elapsed().as_secs_f64() * 1e6 / w.batch_queries as f64);
+            assert_eq!(answers.len(), w.batch_queries);
+        }
+    }
+    let worker_tasks = imm_exec::metrics::TASKS_WORKER.value() - worker_tasks_before;
+    let batch_1t_us = median(&mut batch_us[0]);
+    let batch_2t_us = median(&mut batch_us[1]);
+    eprintln!(
+        "[perf-suite] 1-shard Spread batch of {}: {batch_1t_us:.2} µs/query at 1 thread, \
+         {batch_2t_us:.2} at 2 ({worker_tasks} tasks ran on pool workers)",
+        w.batch_queries
+    );
+    let spread_batch = serde_json::json!({
+        "shards": 1,
+        "queries": w.batch_queries,
+        "us_per_query_1t": batch_1t_us,
+        "us_per_query_2t": batch_2t_us,
+        "speedup_2t": batch_1t_us / batch_2t_us.max(1e-9),
+        "worker_tasks": worker_tasks,
+    });
+
     // Phase 4: observability overhead. Per-op costs come from hammering
     // the two hot-path primitives directly (a scratch counter/histogram so
     // the loop is exactly one relaxed atomic op per iteration); the
@@ -450,7 +508,7 @@ fn main() {
 
     let report = serde_json::json!({
         "bench": "perf_suite",
-        "schema_version": 5,
+        "schema_version": 6,
         "smoke": smoke,
         "workload": {
             "nodes": graph.num_nodes(),
@@ -473,6 +531,7 @@ fn main() {
             "selection_ms": selection_ms,
             "rrr_memory_bytes": stats.memory_bytes,
             "sharded_serving": sharded_serving,
+            "spread_batch": spread_batch,
             "obs_overhead": obs_overhead,
         },
         "obs_metrics": imm_bench::obs::registry_json(),
@@ -492,6 +551,12 @@ fn main() {
     for entry in sweep {
         assert!(entry["topk_p50_ms"].as_f64().is_some(), "sharded topk metric missing");
         assert!(entry["spread_p50_us"].as_f64().is_some(), "sharded spread metric missing");
+    }
+    for key in ["us_per_query_1t", "us_per_query_2t", "speedup_2t"] {
+        assert!(
+            parsed["metrics"]["spread_batch"][key].as_f64().is_some(),
+            "spread batch metric {key} missing from {out_path}"
+        );
     }
     for key in ["spawn_per_round_us", "persistent_scope_us"] {
         assert!(

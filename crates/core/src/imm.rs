@@ -93,103 +93,74 @@ pub fn run_imm(
     let use_fusion = exec.algorithm == Algorithm::Efficient && exec.features.kernel_fusion;
     let fused_counter = if use_fusion { Some(GlobalCounter::new(n)) } else { None };
 
+    let config = SamplingConfig {
+        model: params.model,
+        rng_seed: params.rng_seed,
+        policy,
+        schedule,
+        threads: exec.threads,
+        fused_counter: fused_counter.as_ref(),
+    };
+    let sampler = if exec.trace_provenance { generate_rrr_sets_traced } else { generate_rrr_sets };
     let mut sets = RrrCollection::new(n);
     let mut provenance: Option<Vec<SetProvenance>> = exec.trace_provenance.then(Vec::new);
-    let mut lower_bound = 1.0f64;
-    let mut converged = false;
-
-    // Sampling phase: geometrically growing θ until the greedy solution on
-    // the current sample certifies a lower bound on OPT.
-    let iterations = math::sampling_iterations(n);
-    for i in 1..=iterations {
-        let target = math::theta_for_iteration(n, k, epsilon, ell, i);
-        if target > sets.len() {
-            let missing = target - sets.len();
-            let t0 = Instant::now();
-            let sampler =
-                if exec.trace_provenance { generate_rrr_sets_traced } else { generate_rrr_sets };
-            let out = sampler(
-                graph,
-                weights,
-                missing,
-                sets.len(),
-                &SamplingConfig {
-                    model: params.model,
-                    rng_seed: params.rng_seed,
-                    policy,
-                    schedule,
-                    threads: exec.threads,
-                    fused_counter: fused_counter.as_ref(),
-                },
-                &pool,
-            );
-            breakdown.timings.generate_rrrsets += t0.elapsed();
-            breakdown.sampling_work.merge(&out.work);
-            if let (Some(log), Some(mut records)) = (provenance.as_mut(), out.provenance) {
-                log.append(&mut records);
-            }
-            sets.extend_from(out.sets);
+    // Sample up to `target` sets; false when the collection already holds
+    // that many.
+    let mut top_up = |target: usize, sets: &mut RrrCollection, breakdown: &mut RuntimeBreakdown| {
+        if target <= sets.len() {
+            return false;
         }
-        breakdown.sampling_iterations = i;
-
         let t0 = Instant::now();
-        let selection = select_seeds(&sets, k, exec, &pool, fused_counter.as_ref());
-        breakdown.timings.find_most_influential += t0.elapsed();
-        breakdown.selection_work.merge(&selection.work);
-        breakdown.counter_rebuilds += selection.counter_rebuilds;
-        breakdown.counter_decrements += selection.counter_decrements;
-
-        if math::sampling_converged(n, selection.coverage_fraction, epsilon, i) {
-            lower_bound = math::opt_lower_bound(n, selection.coverage_fraction, epsilon);
-            converged = true;
-            break;
-        }
-    }
-    if !converged {
-        // Fall back to the weakest admissible bound (OPT >= k for any graph
-        // with at least k vertices reached by their own RRR sets).
-        lower_bound = k as f64;
-    }
-
-    // Final phase: top up to θ = λ* / LB sets and select the final seeds.
-    let t_other = Instant::now();
-    let theta = math::final_theta(n, k, epsilon, ell, lower_bound);
-    breakdown.timings.other += t_other.elapsed();
-
-    if theta > sets.len() {
-        let missing = theta - sets.len();
-        let t0 = Instant::now();
-        let sampler =
-            if exec.trace_provenance { generate_rrr_sets_traced } else { generate_rrr_sets };
-        let out = sampler(
-            graph,
-            weights,
-            missing,
-            sets.len(),
-            &SamplingConfig {
-                model: params.model,
-                rng_seed: params.rng_seed,
-                policy,
-                schedule,
-                threads: exec.threads,
-                fused_counter: fused_counter.as_ref(),
-            },
-            &pool,
-        );
+        let out = sampler(graph, weights, target - sets.len(), sets.len(), &config, &pool);
         breakdown.timings.generate_rrrsets += t0.elapsed();
         breakdown.sampling_work.merge(&out.work);
         if let (Some(log), Some(mut records)) = (provenance.as_mut(), out.provenance) {
             log.append(&mut records);
         }
         sets.extend_from(out.sets);
-    }
+        true
+    };
+    let select = |sets: &RrrCollection, breakdown: &mut RuntimeBreakdown| {
+        let t0 = Instant::now();
+        let selection = select_seeds(sets, k, exec, &pool, fused_counter.as_ref());
+        breakdown.timings.find_most_influential += t0.elapsed();
+        breakdown.selection_work.merge(&selection.work);
+        breakdown.counter_rebuilds += selection.counter_rebuilds;
+        breakdown.counter_decrements += selection.counter_decrements;
+        selection
+    };
 
-    let t0 = Instant::now();
-    let selection = select_seeds(&sets, k, exec, &pool, fused_counter.as_ref());
-    breakdown.timings.find_most_influential += t0.elapsed();
-    breakdown.selection_work.merge(&selection.work);
-    breakdown.counter_rebuilds += selection.counter_rebuilds;
-    breakdown.counter_decrements += selection.counter_decrements;
+    // Sampling phase: geometrically growing θ until the greedy solution on
+    // the current sample certifies a lower bound on OPT. `last` is the
+    // selection over the collection as it stands.
+    let mut lower_bound = None;
+    let mut last = None;
+    for i in 1..=math::sampling_iterations(n) {
+        let target = math::theta_for_iteration(n, k, epsilon, ell, i);
+        top_up(target, &mut sets, &mut breakdown);
+        breakdown.sampling_iterations = i;
+        let selection = last.insert(select(&sets, &mut breakdown));
+        if math::sampling_converged(n, selection.coverage_fraction, epsilon, i) {
+            lower_bound = Some(math::opt_lower_bound(n, selection.coverage_fraction, epsilon));
+            break;
+        }
+    }
+    // Without convergence, fall back to the weakest admissible bound
+    // (OPT >= k for any graph with at least k vertices reached by their own
+    // RRR sets).
+    let lower_bound = lower_bound.unwrap_or(k as f64);
+
+    // Final phase: top up to θ = λ* / LB sets and select the final seeds.
+    // When the top-up appends nothing, the last selection already ran on
+    // exactly this collection.
+    let t_other = Instant::now();
+    let theta = math::final_theta(n, k, epsilon, ell, lower_bound);
+    breakdown.timings.other += t_other.elapsed();
+    let appended = top_up(theta, &mut sets, &mut breakdown);
+    let selection = match last {
+        Some(selection) if !appended => selection,
+        _ => select(&sets, &mut breakdown),
+    };
 
     breakdown.rrr_sets_generated = sets.len();
     breakdown.rrr_memory_bytes = sets.memory_bytes();
@@ -349,6 +320,72 @@ mod tests {
         assert_eq!(plain.seeds, result.seeds);
         assert_eq!(plain.theta, result.theta);
         assert!(plain.provenance.is_none(), "provenance is off by default");
+    }
+
+    /// The first `len` sets of `sets`, each in its stored representation.
+    fn prefix(sets: &RrrCollection, len: usize) -> RrrCollection {
+        let mut out = RrrCollection::new(sets.num_nodes());
+        (0..len).for_each(|idx| out.push(sets.get(idx).to_set()));
+        out
+    }
+
+    /// Replays `run_imm`'s selections from its retained collection: the
+    /// sampling iterations ran on its prefixes of θ_1 … θ_i sets (every
+    /// top-up appends). Returns whether the final top-up appended sets and
+    /// the counter updates the iterations' selections made.
+    fn replay_sampling_selections(
+        n: usize,
+        params: &ImmParams,
+        exec: &ExecutionConfig,
+        result: &ImmResult,
+    ) -> (bool, usize) {
+        let sets = result.rrr_sets.as_ref().expect("retained");
+        let ell = math::adjusted_ell(params.ell, n);
+        let pool = exec.build_pool();
+        let mut updates = 0;
+        let mut len = 0;
+        for i in 1..=result.breakdown.sampling_iterations {
+            len = len.max(math::theta_for_iteration(n, params.k, params.epsilon, ell, i));
+            let s = select_seeds(&prefix(sets, len), params.k, exec, &pool, None);
+            updates += s.counter_decrements + s.counter_rebuilds;
+        }
+        (sets.len() > len, updates)
+    }
+
+    #[test]
+    fn final_selection_runs_again_only_when_the_top_up_appends_sets() {
+        // On these two instances the final θ needs more sets than the
+        // sampling phase left (IC) and no more (LT).
+        let (ic_graph, ic_weights) = small_social_graph(300, 12);
+        let mut rng = SmallRng::seed_from_u64(13);
+        let lt_graph = CsrGraph::from_edge_list(&generators::social_network(300, 6, 0.3, &mut rng));
+        let lt_weights = EdgeWeights::lt_normalized(&lt_graph, &mut rng);
+        let cases = [
+            (&ic_graph, &ic_weights, DiffusionModel::IndependentCascade, 3, true),
+            (&lt_graph, &lt_weights, DiffusionModel::LinearThreshold, 5, false),
+        ];
+        for (graph, weights, model, k, tops_up) in cases {
+            let params = ImmParams::new(k, 0.5, model).with_seed(29);
+            let exec = ExecutionConfig::new(Algorithm::Efficient, 2).with_retained_sets(true);
+            let result = run_imm(graph, weights, &params, &exec).unwrap();
+            let (appended, sampling_updates) =
+                replay_sampling_selections(graph.num_nodes(), &params, &exec, &result);
+            assert_eq!(appended, tops_up, "{model:?}: the instance no longer takes its branch");
+
+            let sets = result.rrr_sets.as_ref().expect("retained");
+            let fresh = select_seeds(sets, k, &exec, &exec.build_pool(), None);
+            assert_eq!(result.seeds, fresh.seeds, "{model:?}");
+            assert_eq!(result.coverage_fraction, fresh.coverage_fraction, "{model:?}");
+
+            let b = &result.breakdown;
+            let final_updates =
+                if appended { fresh.counter_decrements + fresh.counter_rebuilds } else { 0 };
+            assert_eq!(
+                b.counter_decrements + b.counter_rebuilds,
+                sampling_updates + final_updates,
+                "{model:?}: an unchanged collection must not be selected on twice"
+            );
+        }
     }
 
     #[test]

@@ -8,12 +8,20 @@
 //! is either decremented (touching only the covered sets) or rebuilt from the
 //! surviving sets, whichever touches less memory — the paper's adaptive
 //! counter update.
+//!
+//! A seed's covered sets are looked up, not scanned for: each call first
+//! builds a vertex → set-id postings table over the list-represented sets
+//! (as the original IMM implementation keeps a vertex → RR-set index) and
+//! notes which sets are bitmaps. A seed then costs one walk of its postings
+//! plus one O(1) bit probe per bitmap set, instead of a membership test on
+//! every one of the θ sets.
 
 use crate::balance::{run_jobs, Schedule};
 use crate::counter::GlobalCounter;
 use crate::params::ExecutionConfig;
 use crate::selection::SeedSelection;
 use crate::stats::WorkProfile;
+use crate::NodeId;
 use imm_rrr::RrrCollection;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -71,6 +79,7 @@ pub fn select_seeds_efficient(
         });
     }
 
+    let occurrences = Occurrences::build(sets);
     let alive: Vec<AtomicBool> = (0..sets.len()).map(|_| AtomicBool::new(true)).collect();
     let mut alive_count = sets.len();
     let mut covered_total = 0usize;
@@ -87,15 +96,9 @@ pub fn select_seeds_efficient(
             continue;
         }
 
-        // Find the still-alive sets covered by the new seed. Membership is
-        // O(1) for bitmap sets and O(log |R|) for sorted sets.
-        let covered: Vec<usize> = pool.install(|| {
-            use rayon::prelude::*;
-            (0..sets.len())
-                .into_par_iter()
-                .filter(|&idx| alive[idx].load(Ordering::Relaxed) && sets.get(idx).contains(seed))
-                .collect()
-        });
+        // The still-alive sets covered by the new seed, in ascending set-id
+        // order: its list postings plus the bitmap sets whose bit is set.
+        let covered = occurrences.covered(sets, seed, &alive);
         let covered_count = covered.len();
         covered_total += covered_count;
 
@@ -162,11 +165,79 @@ pub fn select_seeds_efficient(
     }
 }
 
+/// Where each vertex occurs, built once per selection call: CSR postings
+/// (vertex → ascending set ids) over the list-represented sets, and the ids
+/// of the bitmap-represented sets. Bitmaps stay out of the postings because
+/// they are the heavy sets, whose postings would cost memory in proportion
+/// to their size; their membership stays the §IV-C single bit probe.
+struct Occurrences {
+    /// `postings[offsets[v]..offsets[v + 1]]` are the list sets holding `v`.
+    offsets: Vec<usize>,
+    postings: Vec<u32>,
+    /// Ascending ids of the bitmap sets.
+    bitmap_sets: Vec<u32>,
+}
+
+impl Occurrences {
+    fn build(sets: &RrrCollection) -> Self {
+        let n = sets.num_nodes();
+        assert!(u32::try_from(sets.len()).is_ok(), "set ids must fit in u32");
+        let mut offsets = vec![0usize; n + 1];
+        let mut bitmap_sets = Vec::new();
+        for (idx, set) in sets.iter().enumerate() {
+            match set.members() {
+                Some(members) => members.iter().for_each(|&v| offsets[v as usize + 1] += 1),
+                None => bitmap_sets.push(idx as u32),
+            }
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // Fill with `offsets[v]` as v's write cursor; afterwards it holds
+        // v's end, which is v + 1's start, so one shift restores the starts.
+        let mut postings = vec![0u32; offsets[n]];
+        for (idx, set) in sets.iter().enumerate() {
+            for &v in set.members().unwrap_or_default() {
+                postings[offsets[v as usize]] = idx as u32;
+                offsets[v as usize] += 1;
+            }
+        }
+        offsets.rotate_right(1);
+        offsets[0] = 0;
+        Occurrences { offsets, postings, bitmap_sets }
+    }
+
+    /// The alive sets containing `v`, in ascending set-id order.
+    fn covered(&self, sets: &RrrCollection, v: NodeId, alive: &[AtomicBool]) -> Vec<usize> {
+        let is_alive = |idx: &usize| alive[*idx].load(Ordering::Relaxed);
+        let listed = self.postings[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+            .iter()
+            .map(|&idx| idx as usize)
+            .filter(is_alive);
+        let mut probed = self
+            .bitmap_sets
+            .iter()
+            .map(|&idx| idx as usize)
+            .filter(|idx| is_alive(idx) && sets.get(*idx).contains(v))
+            .peekable();
+        let mut covered = Vec::new();
+        for idx in listed {
+            while let Some(bitmap_idx) = probed.next_if(|&b| b < idx) {
+                covered.push(bitmap_idx);
+            }
+            covered.push(idx);
+        }
+        covered.extend(probed);
+        covered
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::Algorithm;
     use crate::selection::test_support::{collection, greedy_reference};
+    use imm_rrr::AdaptivePolicy;
     use proptest::prelude::*;
 
     fn pool(threads: usize) -> rayon::ThreadPool {
@@ -175,6 +246,34 @@ mod tests {
 
     fn exec(threads: usize) -> ExecutionConfig {
         ExecutionConfig::new(Algorithm::Efficient, threads)
+    }
+
+    /// A collection whose `i`th set is stored as a bitmap when `bitmap(i)`,
+    /// else as a sorted list.
+    fn mixed_collection(
+        num_nodes: usize,
+        sets: &[Vec<u32>],
+        bitmap: impl Fn(usize) -> bool,
+    ) -> RrrCollection {
+        let mut c = RrrCollection::new(num_nodes);
+        for (i, members) in sets.iter().enumerate() {
+            let policy = if bitmap(i) {
+                AdaptivePolicy::always_bitmap()
+            } else {
+                AdaptivePolicy::always_sorted()
+            };
+            c.push_vertices(members.clone(), &policy);
+        }
+        c
+    }
+
+    /// The sampling-time counts a fused selection starts from.
+    fn fused_counts(sets: &RrrCollection) -> GlobalCounter {
+        let counter = GlobalCounter::new(sets.num_nodes());
+        for set in sets.iter() {
+            set.for_each(|v| counter.increment(v));
+        }
+        counter
     }
 
     #[test]
@@ -205,13 +304,7 @@ mod tests {
     fn fused_counter_gives_the_same_answer_and_preserves_the_base_counter() {
         let sets =
             collection(6, &[&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[2]]);
-        // Build the "fused" counter the way sampling would have.
-        let base = GlobalCounter::new(6);
-        for set in sets.iter() {
-            for v in set.iter() {
-                base.increment(v);
-            }
-        }
+        let base = fused_counts(&sets);
         let before = base.snapshot();
         let p = pool(2);
         let with_fusion = select_seeds_efficient(&sets, 2, &exec(2), &p, Some(&base));
@@ -276,12 +369,18 @@ mod tests {
         let owned: Vec<Vec<u32>> = (0..30)
             .map(|i| (0..(i % 5 + 1)).map(|j| ((i * 7 + j * 3) % 25) as u32).collect())
             .collect();
-        let slices: Vec<&[u32]> = owned.iter().map(|v| v.as_slice()).collect();
-        let sets = collection(25, &slices);
+        // Every third set is a bitmap, so seeds are found through both the
+        // list postings and the bitmap probes.
+        let sets = mixed_collection(25, &owned, |i| i % 3 == 0);
+        assert!(sets.coverage_stats().bitmap_sets > 0);
         let baseline = select_seeds_efficient(&sets, 5, &exec(1), &pool(1), None);
+        let (ref_seeds, ref_cov) = greedy_reference(&sets, 5);
+        assert_eq!(baseline.seeds, ref_seeds);
+        assert!((baseline.coverage_fraction - ref_cov).abs() < 1e-12);
         for threads in [2usize, 4, 8] {
             let r = select_seeds_efficient(&sets, 5, &exec(threads), &pool(threads), None);
             assert_eq!(r.seeds, baseline.seeds, "threads={threads}");
+            assert_eq!(r.coverage_fraction, baseline.coverage_fraction, "threads={threads}");
         }
     }
 
@@ -304,18 +403,22 @@ mod tests {
         #[test]
         fn matches_reference_on_random_instances(
             raw_sets in proptest::collection::vec(
-                proptest::collection::hash_set(0u32..30, 1..10),
+                (proptest::collection::hash_set(0u32..30, 1..10), any::<bool>()),
                 1..25,
             ),
             k in 1usize..5,
             threads in 1usize..4,
+            fused in any::<bool>(),
         ) {
-            let owned: Vec<Vec<u32>> = raw_sets.iter().map(|s| s.iter().copied().collect()).collect();
-            let slices: Vec<&[u32]> = owned.iter().map(|v| v.as_slice()).collect();
-            let sets = collection(30, &slices);
+            // Each set is randomly a sorted list or a bitmap, so a seed's
+            // covered sets come from the postings, the bit probes or both.
+            let owned: Vec<Vec<u32>> =
+                raw_sets.iter().map(|(s, _)| s.iter().copied().collect()).collect();
+            let sets = mixed_collection(30, &owned, |i| raw_sets[i].1);
             let (ref_seeds, ref_cov) = greedy_reference(&sets, k);
+            let base = fused.then(|| fused_counts(&sets));
             let p = pool(threads);
-            let result = select_seeds_efficient(&sets, k, &exec(threads), &p, None);
+            let result = select_seeds_efficient(&sets, k, &exec(threads), &p, base.as_ref());
             prop_assert_eq!(result.seeds, ref_seeds);
             prop_assert!((result.coverage_fraction - ref_cov).abs() < 1e-9);
         }
