@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks of the low-level building blocks: the shared
-//! atomic counter (increment throughput and the two-level parallel argmax),
+//! atomic counter (increment throughput and the argmax frontier's pop),
 //! the adaptive RRR-set representation's membership test, and the graph
 //! generators used by the dataset registry.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use efficient_imm::GlobalCounter;
+use criterion::{criterion_group, criterion_main, Criterion};
+use efficient_imm::{ArgmaxFrontier, GlobalCounter};
 use imm_graph::generators;
 use imm_rrr::{AdaptivePolicy, RrrSet};
 use rand::rngs::SmallRng;
@@ -48,12 +48,18 @@ fn bench_counter(c: &mut Criterion) {
         let mut rng = SmallRng::seed_from_u64(3);
         (0..n).map(|_| rng.gen_range(0..10_000)).collect()
     };
-    let counter = GlobalCounter::from_values(&values);
-    for parts in [1usize, 8] {
-        group.bench_with_input(BenchmarkId::new("parallel_argmax", parts), &parts, |b, &p| {
-            b.iter(|| black_box(counter.parallel_argmax(p)))
-        });
-    }
+    // One selection step: pop the argmax, lower its count as the covered
+    // sets' decrements would, and re-admit it; the next pop revalidates it.
+    group.bench_function("frontier_pop", |b| {
+        let counter = GlobalCounter::from_values(&values);
+        let mut frontier = ArgmaxFrontier::new(values.iter().copied());
+        b.iter(|| {
+            let (v, count, _) = frontier.pop(|v| counter.get(v)).expect("n > 0 vertices");
+            counter.set(v, count / 2);
+            frontier.push(v, count / 2);
+            black_box(v)
+        })
+    });
     group.finish();
 }
 

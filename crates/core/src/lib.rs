@@ -8,9 +8,10 @@
 //!   sets with binary-search membership, and separate sampling/selection
 //!   kernels; and
 //! * **EfficientIMM** (this paper): RRR-set partitioning with a shared atomic
-//!   occurrence counter, two-level parallel max reduction, kernel fusion of
-//!   sampling and counting, adaptive RRR-set representation, adaptive counter
-//!   updates, and dynamic job balancing.
+//!   occurrence counter, a lazy per-seed argmax (in place of the paper's
+//!   two-level parallel max reduction), kernel fusion of sampling and
+//!   counting, adaptive RRR-set representation, adaptive counter updates,
+//!   and dynamic job balancing.
 //!
 //! The high-level entry point is [`run_imm`], which executes the full
 //! martingale workflow (Algorithm 1 of the paper) under an
@@ -47,7 +48,7 @@ pub mod sampling;
 pub mod selection;
 pub mod stats;
 
-pub use counter::GlobalCounter;
+pub use counter::{ArgmaxFrontier, GlobalCounter};
 pub use imm::{run_imm, ImmError, ImmResult};
 pub use params::{Algorithm, EfficientFeatures, ExecutionConfig, ImmParams};
 pub use sampling::{

@@ -3,11 +3,19 @@
 //!
 //! The RRR sets — not the vertices — are partitioned across threads. Each
 //! thread scatters atomic increments for its sets into one shared
-//! [`GlobalCounter`]; the most influential vertex is extracted with a
-//! two-level parallel max reduction; and when a seed is removed the counter
-//! is either decremented (touching only the covered sets) or rebuilt from the
+//! [`GlobalCounter`]; and when a seed is removed the counter is either
+//! decremented (touching only the covered sets) or rebuilt from the
 //! surviving sets, whichever touches less memory — the paper's adaptive
 //! counter update.
+//!
+//! Each seed is popped from an [`ArgmaxFrontier`] built from the counter,
+//! not found by the paper's two-level parallel max reduction over all n
+//! counters. Decrements only lower counts, so the frontier's bounds stay
+//! valid and its pop is the vertex the reduction would return (the highest
+//! count, ties toward the smaller id, vertex 0 once every count is 0); a
+//! rebuild recounts from scratch, so the frontier is rebuilt with it. A
+//! seed then costs the pops of the vertices whose counts fell since they
+//! were last checked instead of a pass over all n counters.
 //!
 //! A seed's covered sets are looked up, not scanned for: each call first
 //! builds a vertex → set-id postings table over the list-represented sets
@@ -17,7 +25,7 @@
 //! every one of the θ sets.
 
 use crate::balance::{run_jobs, Schedule};
-use crate::counter::GlobalCounter;
+use crate::counter::{ArgmaxFrontier, GlobalCounter};
 use crate::params::ExecutionConfig;
 use crate::selection::SeedSelection;
 use crate::stats::WorkProfile;
@@ -87,12 +95,15 @@ pub fn select_seeds_efficient(
     let mut rebuilds = 0usize;
     let mut decrements = 0usize;
 
+    let mut frontier = ArgmaxFrontier::new(counter.snapshot());
     for _ in 0..k.min(n) {
-        let (seed, seed_count) = pool
-            .install(|| counter.parallel_argmax(threads))
-            .expect("counter covers at least one vertex");
+        let (seed, seed_count, _) =
+            frontier.pop(|v| counter.get(v)).expect("the frontier holds every vertex");
         seeds.push(seed);
         if seed_count == 0 {
+            // Every count is 0: the later zero-gain seeds are this vertex
+            // (vertex 0) again, as a scan would return.
+            frontier.push(seed, 0);
             continue;
         }
 
@@ -129,6 +140,9 @@ pub fn select_seeds_efficient(
                 per_thread_ops[worker].fetch_add(ops, Ordering::Relaxed);
                 atomic_ops.fetch_add(ops, Ordering::Relaxed);
             });
+            // The recount replaces every count, and a caller's fused counts
+            // need not match the sets, so the bounds are taken afresh.
+            frontier = ArgmaxFrontier::new(counter.snapshot());
         } else {
             // Decrement: touch only the covered sets (lines 11–18 of
             // Algorithm 2).
@@ -146,6 +160,7 @@ pub fn select_seeds_efficient(
                 per_thread_ops[worker].fetch_add(ops, Ordering::Relaxed);
                 atomic_ops.fetch_add(ops, Ordering::Relaxed);
             });
+            frontier.push(seed, counter.get(seed));
         }
         alive_count -= covered_count;
     }
@@ -335,6 +350,24 @@ mod tests {
         assert_eq!(plain.counter_rebuilds, 0);
         assert_eq!(adaptive.seeds, plain.seeds, "adaptive update must not change the result");
         assert!((adaptive.coverage_fraction - plain.coverage_fraction).abs() < 1e-12);
+        let (ref_seeds, ref_cov) = greedy_reference(&sets, 2);
+        assert_eq!(adaptive.seeds, ref_seeds);
+        assert!((adaptive.coverage_fraction - ref_cov).abs() < 1e-12);
+    }
+
+    #[test]
+    fn budget_beyond_the_covering_vertices_emits_the_reference_zero_gain_seeds() {
+        // Vertices 2 and 5 cover every set, so seeds 3..=6 have zero gain:
+        // each is the all-zero argmax, vertex 0, as in the reference.
+        let sets = collection(8, &[&[2, 3], &[2], &[5, 7], &[4, 5], &[2, 5]]);
+        let (ref_seeds, ref_cov) = greedy_reference(&sets, 6);
+        assert_eq!(ref_seeds, vec![2, 5, 0, 0, 0, 0]);
+        for fused in [false, true] {
+            let base = fused.then(|| fused_counts(&sets));
+            let result = select_seeds_efficient(&sets, 6, &exec(2), &pool(2), base.as_ref());
+            assert_eq!(result.seeds, ref_seeds, "fused={fused}");
+            assert_eq!(result.coverage_fraction, ref_cov, "fused={fused}");
+        }
     }
 
     #[test]
@@ -409,6 +442,7 @@ mod tests {
             k in 1usize..5,
             threads in 1usize..4,
             fused in any::<bool>(),
+            rebuild_threshold in 0.0f64..1.0,
         ) {
             // Each set is randomly a sorted list or a bitmap, so a seed's
             // covered sets come from the postings, the bit probes or both.
@@ -417,8 +451,13 @@ mod tests {
             let sets = mixed_collection(30, &owned, |i| raw_sets[i].1);
             let (ref_seeds, ref_cov) = greedy_reference(&sets, k);
             let base = fused.then(|| fused_counts(&sets));
+            // A random threshold makes some calls rebuild the counter, and
+            // with it the frontier, between seeds.
+            let mut cfg = exec(threads);
+            cfg.features.adaptive_counter_update = true;
+            cfg.features.rebuild_threshold = rebuild_threshold;
             let p = pool(threads);
-            let result = select_seeds_efficient(&sets, k, &exec(threads), &p, base.as_ref());
+            let result = select_seeds_efficient(&sets, k, &cfg, &p, base.as_ref());
             prop_assert_eq!(result.seeds, ref_seeds);
             prop_assert!((result.coverage_fraction - ref_cov).abs() < 1e-9);
         }

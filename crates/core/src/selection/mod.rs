@@ -5,8 +5,9 @@
 //!   thread scans every RRR set, sorted sets probed with binary search,
 //!   covered sets handled by decrementing per-thread counters.
 //! * [`efficient`] — EfficientIMM: RRR sets partitioned across threads,
-//!   concurrent atomic updates to one shared counter, two-level parallel max
-//!   reduction, and the adaptive decrement-vs-rebuild counter update.
+//!   concurrent atomic updates to one shared counter, each seed popped from a
+//!   lazily revalidated max-heap over it, and the adaptive
+//!   decrement-vs-rebuild counter update.
 //!
 //! Both return the same seeds for the same input (greedy max coverage is
 //! deterministic up to tie-breaking, and both kernels break ties toward the

@@ -3,8 +3,8 @@
 //! Two partitioning shapes show up throughout the paper:
 //!
 //! * **Block ranges** — contiguous, nearly equal vertex ranges handed to each
-//!   thread (Ripples' vertex partitioning of the counter, and the first step
-//!   of EfficientIMM's two-level parallel max reduction).
+//!   thread (Ripples' vertex partitioning of the counter, and the static
+//!   schedule of EfficientIMM's set-partitioned counting passes).
 //! * **Interleaved ownership** — round-robin assignment of pages/vertices to
 //!   NUMA nodes (the `numactl --interleave` placement the paper uses).
 

@@ -34,6 +34,7 @@
 
 use crate::index::ShardedIndex;
 use crate::segment::ShardSegment;
+use efficient_imm::ArgmaxFrontier;
 use imm_exec::{Pinned, PinnedPool, ScatterError, WakeMode};
 use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
 use imm_numa::Topology;
@@ -42,8 +43,6 @@ use imm_service::{
     CacheStats, DynamicError, Query, QueryCache, QueryKey, QueryResponse, RefreshStats,
 };
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Default response-cache capacity of a new engine.
@@ -280,9 +279,9 @@ struct DistributedGreedy {
     /// Exact merged live count per vertex (sum of the shards' live sets
     /// containing it), maintained from the retire streams.
     merged: Vec<u64>,
-    /// CELF frontier: one entry per vertex, ordered by bound then toward
-    /// the smaller vertex id — the selection kernels' tie order.
-    frontier: BinaryHeap<(u64, Reverse<NodeId>)>,
+    /// CELF frontier over `merged`: one entry per vertex outside an
+    /// in-flight round, popped in the selection kernels' tie order.
+    frontier: ArgmaxFrontier,
     covered_after: Vec<usize>,
     seeds: Vec<NodeId>,
     /// Recycled per-shard retire buffers (one per shard, reused each
@@ -297,7 +296,7 @@ struct DistributedGreedy {
 
 impl DistributedGreedy {
     fn from_merged(merged: Vec<u64>, shards: usize) -> Self {
-        let frontier = merged.iter().enumerate().map(|(v, &c)| (c, Reverse(v as NodeId))).collect();
+        let frontier = ArgmaxFrontier::new(merged.iter().copied());
         DistributedGreedy {
             merged,
             frontier,
@@ -308,28 +307,20 @@ impl DistributedGreedy {
         }
     }
 
-    /// Pop the round's argmax: revalidate stale bounds against the merged
-    /// live counts (a local read) until the top entry is live. Counts only
-    /// fall as sets retire, so a popped entry whose bound matches its live
-    /// count *is* the argmax; ties resolve toward the smaller vertex id via
-    /// the comparator — the selection kernels' reduction order.
+    /// Pop the round's argmax, revalidating stale bounds against the
+    /// merged live counts (a local read). Merged counts only fall as sets
+    /// retire, so the pop is the selection kernels' argmax. The caller
+    /// re-admits the winner once the round has retired its sets.
     fn pop_argmax(&mut self) -> (NodeId, u64) {
-        let mut pops = 0u64;
-        loop {
-            pops += 1;
-            let (stored, Reverse(v)) = self.frontier.pop().expect("one entry per vertex");
-            let live = self.merged[v as usize];
-            if stored == live {
-                // Metric totals are folded in once per round, not per pop;
-                // the last pop is the accepted argmax, the rest were stale.
-                imm_service::metrics::CELF_ROUNDS.increment();
-                imm_service::metrics::CELF_HEAP_POPS.add(pops);
-                imm_service::metrics::CELF_REVALIDATIONS.add(pops - 1);
-                return (v, live);
-            }
-            debug_assert!(live < stored, "merged counts only fall as sets retire");
-            self.frontier.push((live, Reverse(v)));
-        }
+        let merged = &self.merged;
+        let (v, live, pops) =
+            self.frontier.pop(|v| merged[v as usize]).expect("one entry per vertex");
+        // Metric totals are folded in once per round, not per pop; the last
+        // pop is the accepted argmax, the rest were stale.
+        imm_service::metrics::CELF_ROUNDS.increment();
+        imm_service::metrics::CELF_HEAP_POPS.add(pops);
+        imm_service::metrics::CELF_REVALIDATIONS.add(pops - 1);
+        (v, live)
     }
 }
 
@@ -629,7 +620,7 @@ impl ShardedEngine {
                 // the smallest vertex id) and the vertex stays a candidate,
                 // exactly like the selection kernels.
                 state.covered_after.push(covered_so_far);
-                state.frontier.push((0, Reverse(best)));
+                state.frontier.push(best, 0);
                 continue;
             }
             // Scatter: each shard retires its own covered sets and streams
@@ -674,7 +665,7 @@ impl ShardedEngine {
             );
             state.covered_after.push(covered);
             // Re-admit with the post-retirement merged count (zero).
-            state.frontier.push((state.merged[best as usize], Reverse(best)));
+            state.frontier.push(best, state.merged[best as usize]);
         }
         Ok(())
     }
